@@ -1,7 +1,8 @@
 """The `rcc` command line tool.
 
 Exit status contract: 0 success, 1 usage error, 2 no object found by
-`detect`, 3 I/O or file-format error, 4 numeric failure (gradient check).
+`detect`, 3 I/O or file-format error, 4 numeric failure (gradient check,
+or a training run whose loss or weights go non-finite).
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ from pathlib import Path
 
 from . import baseline as baseline_mod
 from . import harness, net, synth
+from .baseline import CalibrationError
 from .image import PpmError, read_ppm, write_ppm
-from .net import CheckpointError, gradient_check, init_params, load_checkpoint
+from .net import (
+    CheckpointError,
+    NumericError,
+    gradient_check,
+    init_params,
+    load_checkpoint,
+)
 from .segment import BoundRect, NoObjectError, SegmentationConfig
 
 EXIT_OK = 0
@@ -108,6 +116,8 @@ def cmd_detect(args) -> int:
 
 def cmd_baseline(args) -> int:
     manifest = synth.read_manifest(args.data)
+    if not manifest.split("test"):
+        raise ValueError("manifest has no test split")
     if args.calibrate:
         images, labels = harness.load_patches(manifest.split("train"), args.data)
         ranges = baseline_mod.calibrate_ranges(
@@ -225,7 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, PpmError, CheckpointError, ValueError) as exc:
+    except NumericError as exc:
+        print(f"rcc: error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (OSError, PpmError, CheckpointError, CalibrationError, ValueError) as exc:
         print(f"rcc: error: {exc}", file=sys.stderr)
         return EXIT_IO
 

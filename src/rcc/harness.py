@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +21,7 @@ from .cubes import aggregate_votes, extract_color_cubes
 from .image import Image, read_ppm
 from .net import (
     NetworkParams,
+    NumericError,
     _forward_batch,
     _mean_cross_entropy,
     _softmax_batch,
@@ -98,7 +100,8 @@ def train(
 
     Each epoch reshuffles the train split with the seeded PRNG, then both
     splits are fully evaluated; the whole run is a pure function of its
-    arguments.
+    arguments.  Raises NumericError, naming the epoch, as soon as a batch
+    loss or an updated tensor is non-finite.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
@@ -123,10 +126,15 @@ def train(
         rng.shuffle(order)
         for start in range(0, len(order), batch):
             picked = order[start : start + batch]
-            _, grads = loss_and_gradients(
+            loss, grads = loss_and_gradients(
                 train_xs[picked], train_labels[picked], params
             )
-            params, velocity = sgd_step(params, grads, lr, momentum, velocity)
+            if not math.isfinite(loss):
+                raise NumericError(f"training loss went non-finite in epoch {epoch}")
+            try:
+                params, velocity = sgd_step(params, grads, lr, momentum, velocity)
+            except NumericError as exc:
+                raise NumericError(f"{exc} in epoch {epoch}") from None
         train_loss, train_acc = _split_stats(train_xs, train_labels, params)
         val_loss, val_acc = _split_stats(test_xs, test_labels, params)
         metrics.append(

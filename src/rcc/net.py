@@ -36,6 +36,10 @@ class ShapeError(ValueError):
     """Tensor shapes do not chain."""
 
 
+class NumericError(ArithmeticError):
+    """A computation produced a non-finite value."""
+
+
 class CheckpointError(Exception):
     """Checkpoint bytes do not describe a valid network."""
 
@@ -488,6 +492,8 @@ def sgd_step(
         vel = momentum * vel - lr * grad
         new_velocity[name] = vel
         new_tensors[name] = tensor + vel
+        if not np.isfinite(new_tensors[name]).all():
+            raise NumericError(f"update made {name} non-finite")
     return params.replace_tensors(new_tensors), new_velocity
 
 

@@ -236,8 +236,25 @@ def scenes_to_csv(scenes: tuple[SceneRecord, ...]) -> str:
     return out.getvalue()
 
 
+def _class_index(row: dict) -> int:
+    """The row's class index, checked against the class table."""
+    index = int(row["class_index"])
+    if not 0 <= index < len(CLASS_NAMES):
+        raise ValueError(f"{row['filename']}: class_index {index} out of range")
+    if row["class_name"] != CLASS_NAMES[index]:
+        raise ValueError(
+            f"{row['filename']}: class_name {row['class_name']!r} does not match "
+            f"class_index {index} ({CLASS_NAMES[index]})"
+        )
+    return index
+
+
 def read_manifest(data_dir: str | Path) -> SampleManifest:
-    """Load manifest.csv (and scenes.csv when present) from a dataset dir."""
+    """Load manifest.csv (and scenes.csv when present) from a dataset dir.
+
+    Raises ValueError on unexpected columns, a class index outside the
+    class table, or a class name that does not match its index.
+    """
     data_dir = Path(data_dir)
     with open(data_dir / "manifest.csv", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -246,7 +263,7 @@ def read_manifest(data_dir: str | Path) -> SampleManifest:
         records = tuple(
             SampleRecord(
                 filename=row["filename"],
-                class_index=int(row["class_index"]),
+                class_index=_class_index(row),
                 class_name=row["class_name"],
                 split=row["split"],
                 brightness_gain=float(row["brightness_gain"]),
@@ -265,7 +282,7 @@ def read_manifest(data_dir: str | Path) -> SampleManifest:
             scenes = tuple(
                 SceneRecord(
                     filename=row["filename"],
-                    class_index=int(row["class_index"]),
+                    class_index=_class_index(row),
                     class_name=row["class_name"],
                     rect=BoundRect(int(row["x"]), int(row["y"]),
                                    int(row["w"]), int(row["h"])),

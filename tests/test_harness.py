@@ -8,7 +8,7 @@ import pytest
 from rcc import cli, harness
 from rcc.baseline import HsvRange
 from rcc.image import Image, read_ppm, write_ppm
-from rcc.net import init_params, load_checkpoint, save_checkpoint
+from rcc.net import NumericError, init_params, load_checkpoint, save_checkpoint
 from rcc.segment import BoundRect
 from rcc.synth import generate_dataset, read_manifest
 
@@ -19,6 +19,11 @@ def tiny_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("tiny")
     manifest = generate_dataset(path, total=12, train=6, seed=0, scenes=2)
     return path, manifest
+
+
+def _rewrite(path, old, new):
+    """Replace every `old` with `new` in a text file."""
+    path.write_text(path.read_text().replace(old, new))
 
 
 WIDE_OPEN_RANGES = [HsvRange(i, 0.0, 360.0, 0.0, 0.0) for i in range(6)]
@@ -50,6 +55,11 @@ class TestTrain:
         b, mb = harness.train(manifest, path, epochs=2, seed=9)
         assert ma == mb
         assert save_checkpoint(a) == save_checkpoint(b)
+
+    def test_diverging_run_raises_numeric_error(self, tiny_dataset):
+        path, manifest = tiny_dataset
+        with pytest.raises(NumericError, match="epoch 2"):
+            harness.train(manifest, path, epochs=5, lr=1e6, batch=2, seed=0)
 
     def test_metrics_csv_shape(self):
         metrics = [harness.EpochMetrics(1, 1.5, 0.3, 1.6, 0.25)]
@@ -238,6 +248,55 @@ class TestCli:
         assert cli.main(
             ["detect", "--image", str(data), "--model", str(bad)]
         ) == 3
+
+    def test_baseline_without_test_split_is_io_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        _rewrite(data / "manifest.csv", ",test,", ",train,")
+        code = cli.main(
+            ["baseline", "--data", str(data), "--ranges", str(tmp_path / "r.csv"),
+             "--calibrate"]
+        )
+        assert code == 3
+        assert "no test split" in capsys.readouterr().err
+
+    def test_calibrate_without_train_split_is_io_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        _rewrite(data / "manifest.csv", ",train,", ",test,")
+        code = cli.main(
+            ["baseline", "--data", str(data), "--ranges", str(tmp_path / "r.csv"),
+             "--calibrate"]
+        )
+        assert code == 3
+        assert "no samples" in capsys.readouterr().err
+
+    def test_out_of_range_class_index_is_io_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        model = tmp_path / "model.ckpt"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        model.write_bytes(save_checkpoint(init_params(0)))
+        _rewrite(data / "manifest.csv", ",0,red,", ",9,red,")
+        assert cli.main(
+            ["train", "--data", str(data), "--out", str(model),
+             "--metrics", str(tmp_path / "metrics.csv"), "--epochs", "1"]
+        ) == 3
+        assert cli.main(
+            ["eval", "--data", str(data), "--model", str(model),
+             "--report", str(tmp_path / "report.json")]
+        ) == 3
+        assert "out of range" in capsys.readouterr().err
+
+    def test_diverging_training_is_numeric_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        code = cli.main(
+            ["train", "--data", str(data), "--out", str(tmp_path / "model.ckpt"),
+             "--metrics", str(tmp_path / "metrics.csv"), "--epochs", "5",
+             "--lr", "1e6", "--batch", "2"]
+        )
+        assert code == 4
+        assert "epoch 2" in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as err:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rcc import rng as rng_mod
 from rcc.rng import Xoshiro256StarStar, derive_stream_seed, splitmix64
 
 # Published reference outputs for splitmix64 (seed 0 and seed 42).
@@ -51,6 +52,63 @@ def test_fill_uint64_matches_scalar_path():
     a = Xoshiro256StarStar(9)
     b = Xoshiro256StarStar(9)
     assert a.fill_uint64(100).tolist() == [b.next_uint64() for _ in range(100)]
+
+
+def _scalar_draws(seed, count):
+    """`count` draws through next_uint64, and the state after them."""
+    rng = Xoshiro256StarStar(seed)
+    return [rng.next_uint64() for _ in range(count)], rng._s
+
+
+_SHORT = rng_mod._LANE_MIN_COUNT
+_LANE = rng_mod._LANE_STEPS
+_CHUNK = rng_mod._CHUNK_LANES * rng_mod._LANE_STEPS
+# empty and one-draw fills, both sides of the short-fill threshold, whole
+# and ragged last lanes, both sides of a chunk, and three chunks
+LANE_EDGE_COUNTS = [
+    0, 1, _SHORT - 1, _SHORT, _SHORT + 1,
+    _LANE * 64 - 1, _LANE * 64, _LANE * 64 + 1,
+    _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7,
+]
+
+
+@pytest.mark.parametrize("count", LANE_EDGE_COUNTS)
+def test_fill_uint64_lanes_match_scalar_stream(count):
+    rng = Xoshiro256StarStar(21)
+    expected, state = _scalar_draws(21, count)
+    out = rng.fill_uint64(count)
+    assert out.dtype == np.uint64
+    assert out.tolist() == expected
+    assert rng._s == state
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=10_000))
+def test_fill_uint64_any_seed_and_count(seed, count):
+    rng = Xoshiro256StarStar(seed)
+    expected, state = _scalar_draws(seed, count)
+    assert rng.fill_uint64(count).tolist() == expected
+    assert rng._s == state
+
+
+def test_normals_at_lane_counts_match_scalar_draws():
+    count = _LANE * 64 + 3
+    raw, _ = _scalar_draws(13, count + 1)
+    u = np.array([(x >> 11) * 2.0**-53 for x in raw])
+    u1 = np.maximum(u[0::2], 2.0**-53)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u[1::2]
+    expected = np.empty(count + 1)
+    expected[0::2] = radius * np.cos(angle)
+    expected[1::2] = radius * np.sin(angle)
+    assert np.array_equal(Xoshiro256StarStar(13).normals(count), expected[:count])
+
+
+def test_integers_below_at_lane_counts_match_scalar_draws():
+    count = _CHUNK + 1
+    raw, _ = _scalar_draws(17, count)
+    expected = [min(int((x >> 11) * 2.0**-53 * 11), 10) for x in raw]
+    assert Xoshiro256StarStar(17).integers_below(11, count).tolist() == expected
 
 
 def test_doubles_unit_interval_and_mean():

@@ -197,6 +197,23 @@ class TestGenerateDataset:
         assert min(per_class) == pytest.approx(0.2)
         assert max(per_class) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "csv_name, old, new",
+        [
+            ("manifest.csv", ",0,red,", ",9,red,"),
+            ("manifest.csv", ",0,red,", ",-1,red,"),
+            ("manifest.csv", ",0,red,", ",0,blue,"),
+            ("scenes.csv", ",0,red,", ",6,red,"),
+            ("scenes.csv", ",0,red,", ",0,green,"),
+        ],
+    )
+    def test_read_manifest_rejects_bad_class(self, tmp_path, csv_name, old, new):
+        generate_dataset(tmp_path, total=12, train=6, seed=0, scenes=1)
+        path = tmp_path / csv_name
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(ValueError, match="class_"):
+            read_manifest(tmp_path)
+
     def test_train_count_must_leave_a_test_split(self, tmp_path):
         with pytest.raises(ValueError):
             generate_dataset(tmp_path, total=10, train=10, seed=0)
