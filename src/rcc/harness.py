@@ -22,12 +22,12 @@ from .image import Image, read_ppm
 from .net import (
     NetworkParams,
     NumericError,
-    _forward_batch,
-    _mean_cross_entropy,
-    _softmax_batch,
     images_to_batch,
     init_params,
+    logits,
     loss_and_gradients,
+    mean_cross_entropy,
+    predict_probabilities,
     sgd_step,
 )
 from .rng import Xoshiro256StarStar
@@ -81,12 +81,15 @@ def load_patches(
 def _split_stats(
     xs: np.ndarray, labels: np.ndarray, params: NetworkParams
 ) -> tuple[float, float]:
-    logits, _ = _forward_batch(xs, params)
-    loss = _mean_cross_entropy(logits, labels)
-    accuracy = float((logits.argmax(axis=1) == labels).mean())
+    scores = logits(xs, params)
+    loss = mean_cross_entropy(scores, labels)
+    accuracy = float((scores.argmax(axis=1) == labels).mean())
     return loss, accuracy
 
 
+# A diverging run overflows before the loss and update checks stop it; they
+# report it, so numpy's overflow and invalid-value warnings stay quiet.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     manifest: SampleManifest,
     data_dir: str | Path,
@@ -170,8 +173,7 @@ def evaluate_arrays(
     """Score a prepared batch: argmax predictions vs true labels."""
     if len(xs) == 0:
         raise ValueError("cannot evaluate an empty split")
-    logits, _ = _forward_batch(xs, params)
-    predicted = logits.argmax(axis=1)
+    predicted = logits(xs, params).argmax(axis=1)
     n = len(params.class_names)
     confusion = np.zeros((n, n), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
@@ -216,7 +218,7 @@ def detect(
     """
     box = detect_bounding_box(img, cfg)
     grid = extract_color_cubes(img, box)
-    probs = _softmax_batch(_forward_batch(images_to_batch(grid.cubes), params)[0])
+    probs = predict_probabilities(images_to_batch(grid.cubes), params)
     cube_labels = [int(i) for i in probs.argmax(axis=1)]
     label, confidence = aggregate_votes(cube_labels, probs)
     names = params.class_names
@@ -271,8 +273,8 @@ def compare_robustness(
     for gain in gains:
         spec = IlluminationSpec((gain, gain, gain), 1.0, 0.0)
         perturbed = [apply_illumination(img, spec, 0) for img in images]
-        logits, _ = _forward_batch(images_to_batch(perturbed), params)
-        cnn_acc = float((logits.argmax(axis=1) == labels).mean())
+        predicted = logits(images_to_batch(perturbed), params).argmax(axis=1)
+        cnn_acc = float((predicted == labels).mean())
         hsv_hits = sum(
             1
             for img, label in zip(perturbed, labels)

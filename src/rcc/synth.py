@@ -249,47 +249,59 @@ def _class_index(row: dict) -> int:
     return index
 
 
+def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """A CSV file's rows as dicts; ValueError unless the header is `columns`
+    and every row has exactly that many fields."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != columns:
+            raise ValueError(f"unexpected {path.name} columns {reader.fieldnames}")
+        rows = []
+        for row in reader:
+            # DictReader keys extra fields under None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"{path.name} line {reader.line_num}: expected "
+                    f"{len(columns)} fields"
+                )
+            rows.append(row)
+    return rows
+
+
 def read_manifest(data_dir: str | Path) -> SampleManifest:
     """Load manifest.csv (and scenes.csv when present) from a dataset dir.
 
-    Raises ValueError on unexpected columns, a class index outside the
-    class table, or a class name that does not match its index.
+    Raises ValueError on unexpected columns, a row with missing or extra
+    fields, a class index outside the class table, or a class name that
+    does not match its index.
     """
     data_dir = Path(data_dir)
-    with open(data_dir / "manifest.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != MANIFEST_COLUMNS:
-            raise ValueError(f"unexpected manifest columns {reader.fieldnames}")
-        records = tuple(
-            SampleRecord(
-                filename=row["filename"],
-                class_index=_class_index(row),
-                class_name=row["class_name"],
-                split=row["split"],
-                brightness_gain=float(row["brightness_gain"]),
-                illuminant_name=row["illuminant_name"],
-                seed=int(row["seed"]),
-            )
-            for row in reader
+    records = tuple(
+        SampleRecord(
+            filename=row["filename"],
+            class_index=_class_index(row),
+            class_name=row["class_name"],
+            split=row["split"],
+            brightness_gain=float(row["brightness_gain"]),
+            illuminant_name=row["illuminant_name"],
+            seed=int(row["seed"]),
         )
+        for row in _read_rows(data_dir / "manifest.csv", MANIFEST_COLUMNS)
+    )
     scenes: tuple[SceneRecord, ...] = ()
     scenes_path = data_dir / "scenes.csv"
     if scenes_path.exists():
-        with open(scenes_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != SCENES_COLUMNS:
-                raise ValueError(f"unexpected scenes columns {reader.fieldnames}")
-            scenes = tuple(
-                SceneRecord(
-                    filename=row["filename"],
-                    class_index=_class_index(row),
-                    class_name=row["class_name"],
-                    rect=BoundRect(int(row["x"]), int(row["y"]),
-                                   int(row["w"]), int(row["h"])),
-                    illuminant_name=row["illuminant_name"],
-                )
-                for row in reader
+        scenes = tuple(
+            SceneRecord(
+                filename=row["filename"],
+                class_index=_class_index(row),
+                class_name=row["class_name"],
+                rect=BoundRect(int(row["x"]), int(row["y"]),
+                               int(row["w"]), int(row["h"])),
+                illuminant_name=row["illuminant_name"],
             )
+            for row in _read_rows(scenes_path, SCENES_COLUMNS)
+        )
     return SampleManifest(records=records, scenes=scenes)
 
 

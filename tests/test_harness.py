@@ -1,6 +1,10 @@
 """Training/eval harness and command line behavior on tiny datasets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,7 @@ class TestTrain:
         assert ma == mb
         assert save_checkpoint(a) == save_checkpoint(b)
 
+    @pytest.mark.filterwarnings("error")
     def test_diverging_run_raises_numeric_error(self, tiny_dataset):
         path, manifest = tiny_dataset
         with pytest.raises(NumericError, match="epoch 2"):
@@ -272,20 +277,50 @@ class TestCli:
         assert "no samples" in capsys.readouterr().err
 
     def test_out_of_range_class_index_is_io_error(self, tmp_path, capsys):
-        data = tmp_path / "data"
+        """Also covers a manifest row cut short: both exit 3, no traceback."""
         model = tmp_path / "model.ckpt"
-        generate_dataset(data, total=12, train=6, seed=0, scenes=0)
         model.write_bytes(save_checkpoint(init_params(0)))
-        _rewrite(data / "manifest.csv", ",0,red,", ",9,red,")
-        assert cli.main(
-            ["train", "--data", str(data), "--out", str(model),
-             "--metrics", str(tmp_path / "metrics.csv"), "--epochs", "1"]
-        ) == 3
-        assert cli.main(
-            ["eval", "--data", str(data), "--model", str(model),
-             "--report", str(tmp_path / "report.json")]
-        ) == 3
-        assert "out of range" in capsys.readouterr().err
+        for case, old, new, message in (
+            ("index", ",0,red,", ",9,red,", "out of range"),
+            ("short", ",identity,0\n", "\n", "line 2: expected 7 fields"),
+        ):
+            data = tmp_path / case
+            generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+            _rewrite(data / "manifest.csv", old, new)
+            assert cli.main(
+                ["train", "--data", str(data), "--out", str(model),
+                 "--metrics", str(tmp_path / "metrics.csv"), "--epochs", "1"]
+            ) == 3
+            assert cli.main(
+                ["eval", "--data", str(data), "--model", str(model),
+                 "--report", str(tmp_path / "report.json")]
+            ) == 3
+            assert message in capsys.readouterr().err, case
+
+    def test_train_bytes_match_across_blas_threads(self, tmp_path):
+        """`rcc train` writes the same checkpoint and metrics whether
+        OpenBLAS runs one thread or two."""
+        data = tmp_path / "data"
+        generate_dataset(data, total=24, train=18, seed=0, scenes=0)
+        src = Path(cli.__file__).resolve().parents[1]
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (str(src), env.get("PYTHONPATH")))
+            )
+            subprocess.run(
+                [sys.executable, "-m", "rcc.cli", "train", "--data", str(data),
+                 "--out", str(out / "model.ckpt"),
+                 "--metrics", str(out / "metrics.csv"), "--epochs", "2"],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append(
+                ((out / "model.ckpt").read_bytes(), (out / "metrics.csv").read_bytes())
+            )
+        assert outputs[0] == outputs[1]
 
     def test_diverging_training_is_numeric_error(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,6 +1,7 @@
 """Network math: hand-checked values, naive oracles, and serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -293,6 +294,15 @@ class TestCheckpoint:
         blob = bytearray(save_checkpoint(init_params(0)))
         blob[12] = 7  # first layer kind byte
         with pytest.raises(CheckpointError):
+            load_checkpoint(bytes(blob))
+
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_conv1_padding_that_cannot_chain_is_rejected(self, padding):
+        # conv1 padding 0 or 2 pools to 15x15 or 17x17 maps, which conv2's
+        # output cannot tile with the 2x2 pool
+        blob = bytearray(save_checkpoint(init_params(0)))
+        blob[29:33] = struct.pack("<I", padding)  # kind u8 at 12, then o, c, m, n
+        with pytest.raises(CheckpointError, match="conv2 makes"):
             load_checkpoint(bytes(blob))
 
     def test_error_hierarchy(self):
