@@ -1,10 +1,10 @@
 """Color recognition under varying illumination.
 
-Pipeline: locate the dominant object (blur + threshold/edges + contour
-tracing + bounding box), cut a 3x3 grid of 32x32 color cubes from it,
-classify each cube with a small from-scratch CNN, and majority-vote the
-results.  A fixed-range HSV classifier serves as the comparison baseline,
-and a deterministic synthetic generator provides data.
+Pipeline: locate the dominant object (blur + threshold/edges + row-run
+component labelling + bounding box), cut a 3x3 grid of 32x32 color cubes
+from it, classify each cube with a small from-scratch CNN, and
+majority-vote the results.  A fixed-range HSV classifier serves as the
+comparison baseline, and a deterministic synthetic generator provides data.
 """
 
 from .baseline import CalibrationError, HsvRange, calibrate_ranges, classify_hsv
@@ -37,7 +37,6 @@ from .net import (
 from .segment import (
     BinaryMask,
     BoundRect,
-    Contour,
     NoObjectError,
     SegmentationConfig,
     detect_bounding_box,
@@ -60,7 +59,6 @@ __all__ = [
     "CalibrationError",
     "CheckpointError",
     "ColorClass",
-    "Contour",
     "ConvLayerParams",
     "CubeGrid",
     "CubeSpec",

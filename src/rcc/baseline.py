@@ -21,6 +21,9 @@ import numpy as np
 from .image import Image, rgb_to_hsv
 
 
+N_CLASSES = 6
+
+
 class CalibrationError(Exception):
     """Training data cannot produce a range for every class."""
 
@@ -78,7 +81,7 @@ def _circular_deviations(hues: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def calibrate_ranges(
-    samples: Sequence[tuple[Image, int]], n_classes: int = 6
+    samples: Sequence[tuple[Image, int]], n_classes: int = N_CLASSES
 ) -> list[HsvRange]:
     """Fit one HsvRange per class from (patch, class index) training pairs."""
     by_class: list[list[tuple[float, float, float]]] = [[] for _ in range(n_classes)]
@@ -134,16 +137,31 @@ def ranges_to_csv(ranges: Sequence[HsvRange]) -> str:
 
 
 def ranges_from_csv(text: str) -> list[HsvRange]:
+    """Ranges in class order; ValueError naming the line unless every row
+    is complete and there is exactly one per class 0..N_CLASSES-1."""
     reader = csv.DictReader(io.StringIO(text))
     if tuple(reader.fieldnames or ()) != RANGES_COLUMNS:
         raise ValueError(f"unexpected ranges columns {reader.fieldnames}")
-    return [
-        HsvRange(
-            class_index=int(row["class_index"]),
-            h_min=float(row["h_min"]),
-            h_max=float(row["h_max"]),
-            s_min=float(row["s_min"]),
-            v_min=float(row["v_min"]),
-        )
-        for row in reader
-    ]
+    ranges: dict[int, HsvRange] = {}
+    for row in reader:
+        where = f"ranges line {reader.line_num}"
+        # DictReader keys extra fields under None and fills missing ones with None
+        if None in row or None in row.values():
+            raise ValueError(f"{where}: expected {len(RANGES_COLUMNS)} fields")
+        try:  # the columns are HsvRange's fields, in order
+            r = HsvRange(
+                int(row["class_index"]), *(float(row[c]) for c in RANGES_COLUMNS[1:])
+            )
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if not 0 <= r.class_index < N_CLASSES:
+            raise ValueError(f"{where}: class index {r.class_index} out of range")
+        if r.class_index in ranges:
+            raise ValueError(f"{where}: second row for class {r.class_index}")
+        ranges[r.class_index] = r
+    for index in range(N_CLASSES):
+        if index not in ranges:
+            raise ValueError(
+                f"ranges line {reader.line_num}: file ends, no row for class {index}"
+            )
+    return [ranges[index] for index in range(N_CLASSES)]

@@ -164,10 +164,12 @@ def read_ppm(data: bytes) -> Image:
 
 def rgb_to_gray(img: Image) -> GrayImage:
     """BT.601 luma: gray = round(0.299 r + 0.587 g + 0.114 b)."""
-    rgb = img.pixels.astype(np.float64)
-    luma = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    gray = np.clip(round_half_away(luma), 0, 255).astype(np.uint8)
-    return GrayImage(gray)
+    px = img.pixels
+    luma = 0.299 * px[:, :, 0].astype(np.float64)
+    luma += 0.587 * px[:, :, 1]
+    luma += 0.114 * px[:, :, 2]
+    luma += 0.5  # luma lies in [0, 255]: rounding half away is floor(luma + 0.5)
+    return GrayImage(np.floor(luma, out=luma).astype(np.uint8))
 
 
 def rgb_to_hsv(r: float, g: float, b: float) -> HsvPixel:

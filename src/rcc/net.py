@@ -228,7 +228,8 @@ def _conv_batch(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, pad: int):
     return y.reshape(b, out_ch, h_out, w_out)
 
 
-def _conv_backward_batch(dy, x, filters, pad):
+def _conv_backward_batch(dy, x, filters, pad, input_grad):
+    """(d_filters, d_bias, dx); dx is None when `input_grad` is false."""
     b, c, h, w = x.shape
     out_ch, _, m, n = filters.shape
     h_out, w_out = dy.shape[2], dy.shape[3]
@@ -236,17 +237,19 @@ def _conv_backward_batch(dy, x, filters, pad):
     span = h_out * w_out
     dy_flat = dy.reshape(b, out_ch, span)
     d_filters = np.zeros_like(filters)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if input_grad else None
     for km in range(m):
         for kn in range(n):
             patch = xp[:, :, km : km + h_out, kn : kn + w_out].reshape(b, c, span)
             d_filters[:, :, km, kn] = (dy_flat @ patch.transpose(0, 2, 1)).sum(axis=0)
-            dxp[:, :, km : km + h_out, kn : kn + w_out] += (
-                filters[:, :, km, kn].T @ dy_flat
-            ).reshape(b, c, h_out, w_out)
+            if dxp is not None:
+                dxp[:, :, km : km + h_out, kn : kn + w_out] += (
+                    filters[:, :, km, kn].T @ dy_flat
+                ).reshape(b, c, h_out, w_out)
     d_bias = dy.sum(axis=(0, 2, 3))
-    dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-    return d_filters, d_bias, dx
+    if dxp is not None and pad:
+        dxp = dxp[:, :, pad : pad + h, pad : pad + w]
+    return d_filters, d_bias, dxp
 
 
 def _pool_blocks(x: np.ndarray, k: int) -> np.ndarray:
@@ -416,7 +419,7 @@ def _backward(
         if isinstance(layer, ConvLayerParams):
             da = _pool_backward_batch(dy.reshape(idx.shape), idx, z.shape, POOL_WINDOW)
             d_weight, d_bias, dy = _conv_backward_batch(
-                da * (z > 0), x, layer.filters, layer.padding
+                da * (z > 0), x, layer.filters, layer.padding, input_grad=i > 0
             )
         else:
             if i < last:

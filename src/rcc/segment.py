@@ -1,17 +1,16 @@
-"""Object localization: blur, threshold, edges, contours, bounding box.
+"""Object localization: blur, threshold, edges, components, bounding box.
 
 The default pipeline is gray -> Gaussian blur -> adaptive threshold ->
-contour tracing -> largest component -> axis-aligned bounding rectangle.
-An alternative edge-driven mode replaces the threshold step with Sobel
-magnitude, a fixed edge threshold, and one binary dilation pass to close
-small gaps before tracing.
+row-run component labelling -> largest component -> its axis-aligned
+bounding box.  An alternative edge-driven mode replaces the threshold step
+with Sobel magnitude, a fixed edge threshold, and one binary dilation pass
+to close small gaps before labelling.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,19 +45,6 @@ class BinaryMask:
 
 
 @dataclass(frozen=True)
-class Contour:
-    """Closed outer boundary as an ordered list of (col, row) points."""
-
-    points: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        pts = tuple((int(c), int(r)) for c, r in self.points)
-        if not pts:
-            raise ValueError("contour must contain at least one point")
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
 class BoundRect:
     """Axis-aligned box: left column, top row, width, height."""
 
@@ -83,7 +69,7 @@ class SegmentationConfig:
     window: int = 11
     c: float = 2.0
     sobel_threshold: int = 80
-    dilate_passes: int = 1  # gap closing before tracing, sobel mode only
+    dilate_passes: int = 1  # gap closing before labelling, sobel mode only
     polarity: str = "dark"  # foreground side of the local mean: "dark" or "light"
 
     def __post_init__(self):
@@ -175,128 +161,57 @@ def sobel_magnitude(img: GrayImage) -> GrayImage:
     return GrayImage(np.clip(round_half_away(mag), 0, 255).astype(np.uint8))
 
 
-def label_components(
-    mask: BinaryMask,
-) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
-    """8-connected component labels in scan order.
+def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:
+    """Every 8-connected component as (pixel count, box), in scan order of
+    each component's first pixel.
 
-    Returns (label array with -1 for background, per-component pixel
-    counts, per-component first pixel in row-major order).  Component k
-    is the k-th component encountered scanning row-major, which fixes the
-    tie-break used by largest_contour; its first pixel always has a
-    background West neighbor, the precondition of _trace_boundary.
+    Row-run labelling (He, Chao & Suzuki, 2008): the mask's row runs are
+    joined by union-find wherever a run touches one in the row above,
+    diagonals included.  The root is always the smaller run index, so each
+    component's root is its first run in scan order.
     """
     bits = mask.bits
     h, w = bits.shape
-    labels = np.full((h, w), -1, dtype=np.int64)
-    counts: list[int] = []
-    starts: list[tuple[int, int]] = []
-    for row in range(h):
-        for col in np.flatnonzero(bits[row]):
-            if labels[row, col] >= 0:
-                continue
-            component = len(counts)
-            count = 0
-            queue = deque([(int(col), row)])
-            labels[row, col] = component
-            while queue:
-                cx, cy = queue.popleft()
-                count += 1
-                for ny in range(max(cy - 1, 0), min(cy + 2, h)):
-                    for nx in range(max(cx - 1, 0), min(cx + 2, w)):
-                        if bits[ny, nx] and labels[ny, nx] < 0:
-                            labels[ny, nx] = component
-                            queue.append((nx, ny))
-            counts.append(count)
-            starts.append((int(col), row))
-    return labels, counts, starts
+    stride = w + 2  # run ends reach w, so a row's keys never meet the next row's
+    padded = np.zeros((h, stride), dtype=np.int8)
+    padded[:, 1:-1] = bits
+    steps = np.diff(padded, axis=1)
+    rows, starts = np.nonzero(steps == 1)
+    ends = np.nonzero(steps == -1)[1]  # exclusive; row-major, so paired with starts
+    # Run a in the row above touches run b when a.start <= b.end and
+    # b.start <= a.end.  Keyed by row * stride + col, the runs touching b are
+    # first[b]..stop[b]-1, a range that is empty when none do.
+    above = (rows - 1) * stride
+    first = np.searchsorted(rows * stride + ends, above + starts, side="left")
+    stop = np.searchsorted(rows * stride + starts, above + ends, side="right")
+    parent = list(range(len(starts)))
 
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-# Moore neighborhood in clockwise order starting at West, as (dx, dy)
-# with rows growing downward.
-_MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
-_MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
-
-
-def _trace_boundary(bits: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
-    """Moore-neighbor trace of one outer boundary.
-
-    `start` is the component's first pixel in row-major scan order, so its
-    West neighbor is guaranteed background; tracing stops when the first
-    move (start -> second point) is about to repeat, which closes the
-    boundary exactly once.
-    """
-    h, w = bits.shape
-
-    def foreground(px: int, py: int) -> bool:
-        return 0 <= px < w and 0 <= py < h and bits[py, px]
-
-    contour = [start]
-    p = start
-    backtrack = (start[0] - 1, start[1])
-    first_move: tuple[int, int] | None = None
-    limit = 4 * int(bits.sum()) + 8
-    for _ in range(limit):
-        base = _MOORE_INDEX[(backtrack[0] - p[0], backtrack[1] - p[1])]
-        found = None
-        for step in range(1, 9):
-            dx, dy = _MOORE[(base + step) % 8]
-            if foreground(p[0] + dx, p[1] + dy):
-                found = (p[0] + dx, p[1] + dy)
-                prev_dx, prev_dy = _MOORE[(base + step - 1) % 8]
-                backtrack = (p[0] + prev_dx, p[1] + prev_dy)
-                break
-        if found is None:
-            return contour  # isolated pixel
-        if first_move is None:
-            first_move = found
-        elif p == start and found == first_move:
-            break  # about to repeat the opening move: boundary is closed
-        contour.append(found)
-        p = found
-    if len(contour) > 1 and contour[-1] == contour[0]:
-        contour.pop()
-    return contour
-
-
-def trace_contours(mask: BinaryMask) -> list[Contour]:
-    """One closed outer boundary per 8-connected foreground component."""
-    _, _, starts = label_components(mask)
-    return [Contour(tuple(_trace_boundary(mask.bits, start))) for start in starts]
-
-
-def largest_contour(contours: list[Contour], mask: BinaryMask) -> Contour:
-    """Contour of the component with the most foreground pixels.
-
-    Ties go to the component whose first scan-order pixel comes first.
-    """
-    if not contours:
-        raise NoObjectError("no contours to choose from")
-    labels, counts, _ = label_components(mask)
-    best = None
-    best_count = -1
-    for contour in contours:
-        col, row = contour.points[0]
-        component = int(labels[row, col])
-        if component < 0:
-            raise ValueError(f"contour start ({col}, {row}) is not foreground")
-        if counts[component] > best_count:
-            best = contour
-            best_count = counts[component]
-    assert best is not None
-    return best
-
-
-def minimum_bounding_rect(contour: Contour) -> BoundRect:
-    """Axis-aligned extent of the contour points, inclusive."""
-    cols = [p[0] for p in contour.points]
-    rows = [p[1] for p in contour.points]
-    return BoundRect(
-        x=min(cols),
-        y=min(rows),
-        w=max(cols) - min(cols) + 1,
-        h=max(rows) - min(rows) + 1,
-    )
+    for b, (lo, hi) in enumerate(zip(first.tolist(), stop.tolist())):
+        for a in range(lo, hi):
+            ra, rb = find(a), find(b)
+            if ra < rb:
+                parent[rb] = ra
+            elif rb < ra:
+                parent[ra] = rb
+    root = np.array([find(i) for i in range(len(parent))], dtype=np.int64)
+    # each component's totals gather at its root run, whose row is its top row
+    counts = np.bincount(root, weights=ends - starts, minlength=len(root))
+    left, right, bottom = starts.copy(), ends.copy(), rows.copy()
+    np.minimum.at(left, root, starts)
+    np.maximum.at(right, root, ends)
+    np.maximum.at(bottom, root, rows)
+    components = []
+    for r in np.flatnonzero(root == np.arange(len(root))):
+        x, y = int(left[r]), int(rows[r])
+        box = BoundRect(x, y, int(right[r]) - x, int(bottom[r]) - y + 1)
+        components.append((int(counts[r]), box))
+    return components
 
 
 def dilate(mask: BinaryMask, passes: int = 1) -> BinaryMask:
@@ -323,12 +238,14 @@ def detect_bounding_box(img: Image, cfg: SegmentationConfig | None = None) -> Bo
         else:
             means = _window_means(blurred.pixels, cfg.window)
             mask = BinaryMask(blurred.pixels.astype(np.float64) > means + cfg.c)
+    elif min(blurred.pixels.shape) < 3:
+        raise NoObjectError("image is smaller than the 3x3 Sobel window")
     else:
         edges = sobel_magnitude(blurred)
         mask = BinaryMask(edges.pixels > cfg.sobel_threshold)
         if cfg.dilate_passes > 0:
             mask = dilate(mask, cfg.dilate_passes)
-    contours = trace_contours(mask)
-    if not contours:
+    components = label_components(mask)
+    if not components:
         raise NoObjectError("no foreground component found")
-    return minimum_bounding_rect(largest_contour(contours, mask))
+    return max(components, key=lambda c: c[0])[1]  # first of the largest

@@ -8,16 +8,21 @@ so it would pass a change that moves every byte; this one would not.
 
 `INIT_CHECKPOINT_SHA256` pins `save_checkpoint(init_params(seed))`: the
 weight draw order and checkpoint format v1, with no BLAS involved.
+
+`DETECT_BOXES` pins `detect_bounding_box` in both segmenter modes on the
+24 scenes of `generate_dataset(seed=0)`, then on the 640x480 scene, as
+(x, y, w, h).
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from rcc.image import write_ppm
+from rcc.image import read_ppm, write_ppm
 from rcc.net import init_params, save_checkpoint
-from rcc.segment import BoundRect
+from rcc.segment import BoundRect, SegmentationConfig, detect_bounding_box
 from rcc.synth import COLOR_CLASSES, ILLUMINANT_PRESETS, generate_dataset, render_scene
 
 GOLDEN = Path(__file__).parent / "data" / "golden_seed0.sha256"
@@ -26,6 +31,26 @@ INIT_CHECKPOINT_SHA256 = {
     1: "f1ab2c6e31a251a4dd4470db09c34f1c18c58bc4e22cb3cbc3651e3d03b595f4",
     2: "23bc33d2ba8f1507ece0fa1a0b1da82dc70f1f33ea21057fea9bba345bd71c22",
 }
+DETECT_BOXES = {
+    "adaptive": [
+        (55, 29, 36, 33), (35, 29, 32, 56), (30, 25, 44, 52), (60, 56, 48, 33),
+        (62, 9, 40, 26), (77, 32, 31, 53), (5, 14, 37, 46), (9, 10, 49, 55),
+        (53, 6, 52, 49), (90, 9, 33, 57), (44, 57, 57, 28), (73, 16, 47, 30),
+        (18, 52, 48, 35), (21, 33, 25, 48), (68, 22, 29, 32), (37, 60, 52, 33),
+        (36, 51, 56, 35), (31, 34, 57, 30), (75, 61, 41, 25), (60, 7, 50, 40),
+        (8, 33, 31, 50), (13, 4, 51, 30), (78, 51, 44, 30), (5, 17, 30, 45),
+        (199, 149, 242, 182),
+    ],
+    "sobel": [
+        (52, 26, 42, 39), (33, 27, 36, 60), (27, 22, 50, 58), (58, 54, 53, 37),
+        (59, 6, 46, 32), (74, 29, 37, 59), (2, 11, 43, 52), (6, 7, 55, 61),
+        (50, 4, 58, 53), (87, 6, 39, 63), (41, 54, 63, 34), (70, 13, 53, 36),
+        (15, 49, 54, 41), (18, 30, 31, 54), (65, 19, 35, 38), (34, 57, 58, 39),
+        (33, 48, 62, 41), (28, 31, 63, 36), (73, 58, 46, 31), (57, 5, 55, 44),
+        (5, 31, 35, 54), (10, 1, 57, 36), (75, 48, 50, 36), (3, 15, 35, 49),
+        (196, 146, 248, 188),
+    ],
+}
 
 
 def _golden() -> dict[str, str]:
@@ -33,18 +58,38 @@ def _golden() -> dict[str, str]:
     return {name: digest for digest, name in pairs}
 
 
-def test_generator_bytes_match_golden(tmp_path):
-    generate_dataset(tmp_path, seed=0)
+@pytest.fixture(scope="module")
+def seed0(tmp_path_factory):
+    """The default dataset of seed 0, plus the 640x480 scene, in one dir."""
+    path = tmp_path_factory.mktemp("seed0")
+    manifest = generate_dataset(path, seed=0)
     scene, _ = render_scene(
         COLOR_CLASSES[4], BoundRect(200, 150, 240, 180), 640, 480,
         ILLUMINANT_PRESETS["warm"], seed=7, jitter=0,
     )
-    (tmp_path / "render_scene_640x480.ppm").write_bytes(write_ppm(scene))
+    (path / "render_scene_640x480.ppm").write_bytes(write_ppm(scene))
+    return path, manifest
+
+
+def test_generator_bytes_match_golden(seed0):
+    path, _ = seed0
     actual = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in tmp_path.iterdir()
+        for p in path.iterdir()
     }
     assert actual == _golden()
+
+
+@pytest.mark.parametrize("mode", sorted(DETECT_BOXES))
+def test_detect_boxes_match_golden(seed0, mode):
+    path, manifest = seed0
+    names = [s.filename for s in manifest.scenes] + ["render_scene_640x480.ppm"]
+    cfg = SegmentationConfig(mode=mode)
+    boxes = [
+        dataclasses.astuple(detect_bounding_box(read_ppm((path / n).read_bytes()), cfg))
+        for n in names
+    ]
+    assert boxes == DETECT_BOXES[mode]
 
 
 @pytest.mark.parametrize("seed", sorted(INIT_CHECKPOINT_SHA256))

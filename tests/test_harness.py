@@ -209,6 +209,49 @@ class TestCli:
         assert code == 2
         assert json.loads(capsys.readouterr().out) == {"error": "no_object"}
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (2, 3), (1, 200)], ids=["1x1", "2x3", "1x200"]
+    )
+    @pytest.mark.parametrize("mode", ["adaptive", "sobel"])
+    def test_tiny_image_is_no_object_in_both_modes(self, tmp_path, capsys, shape, mode):
+        model = tmp_path / "model.ckpt"
+        model.write_bytes(save_checkpoint(init_params(0)))
+        image = tmp_path / "tiny.ppm"
+        image.write_bytes(write_ppm(Image(np.full(shape + (3,), 128, dtype=np.uint8))))
+        code = cli.main(
+            ["detect", "--image", str(image), "--model", str(model),
+             "--segmenter", mode, "--json"]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "no_object"}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+         "line 3: expected 5 fields"),
+        (lambda lines: lines[:3], "no row for class 2"),
+        (lambda lines: lines + [lines[1]], "line 8: second row for class 0"),
+        (lambda lines: lines[:6] + ["9" + lines[6][1:]],
+         "line 7: class index 9 out of range"),
+    ], ids=["short", "missing", "duplicate", "index"])
+    def test_bad_ranges_file_is_io_error(self, tmp_path, capsys, edit, message):
+        data = tmp_path / "data"
+        ranges = tmp_path / "ranges.csv"
+        model = tmp_path / "model.ckpt"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        model.write_bytes(save_checkpoint(init_params(0)))
+        assert cli.main(
+            ["baseline", "--data", str(data), "--ranges", str(ranges), "--calibrate"]
+        ) == 0
+        ranges.write_text("\n".join(edit(ranges.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert cli.main(["baseline", "--data", str(data), "--ranges", str(ranges)]) == 3
+        assert cli.main(
+            ["compare", "--data", str(data), "--model", str(model),
+             "--ranges", str(ranges), "--out", str(tmp_path / "sweep.csv")]
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.count(message) == 2, err
+
     def test_baseline_and_compare_flow(self, tmp_path, capsys):
         data = tmp_path / "data"
         ranges = tmp_path / "ranges.csv"

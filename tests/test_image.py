@@ -116,6 +116,20 @@ class TestGray:
         img = Image(np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8))
         assert rgb_to_gray(img).pixels.tolist() == [[0, 255]]
 
+    def test_every_rgb_triple_matches_rounded_luma(self):
+        """All 2^24 colors, 16 red levels per chunk, against the weighted
+        sum rounded half away from zero and clamped."""
+        gb = np.arange(1 << 16)
+        for r0 in range(0, 256, 16):
+            rgb = np.empty((16, 1 << 16, 3), dtype=np.uint8)
+            rgb[:, :, 0] = np.arange(r0, r0 + 16)[:, None]
+            rgb[:, :, 1] = gb >> 8
+            rgb[:, :, 2] = gb & 0xFF
+            f = rgb.astype(np.float64)
+            luma = 0.299 * f[:, :, 0] + 0.587 * f[:, :, 1] + 0.114 * f[:, :, 2]
+            want = np.clip(round_half_away(luma), 0, 255).astype(np.uint8)
+            assert np.array_equal(rgb_to_gray(Image(rgb)).pixels, want), r0
+
 
 class TestHsv:
     def test_primary_corners(self):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 
+from rcc import segment
 from rcc.image import GrayImage, Image, round_half_away
 from rcc.rng import Xoshiro256StarStar
 from rcc.segment import (
@@ -18,10 +21,7 @@ from rcc.segment import (
     gaussian_blur,
     gaussian_kernel,
     label_components,
-    largest_contour,
-    minimum_bounding_rect,
     sobel_magnitude,
-    trace_contours,
 )
 
 
@@ -174,103 +174,102 @@ class TestSobel:
 class TestComponents:
     def test_diagonal_pixels_are_one_component(self):
         mask = BinaryMask(np.eye(4, dtype=bool))
-        _, counts, starts = label_components(mask)
-        assert counts == [4]
-        assert starts == [(0, 0)]
+        assert label_components(mask) == [(4, BoundRect(0, 0, 4, 4))]
 
     def test_separate_blobs_counted_in_scan_order(self):
         bits = np.zeros((6, 8), dtype=bool)
         bits[0, 5] = True
         bits[2:4, 0:2] = True
-        _, counts, starts = label_components(BinaryMask(bits))
-        assert counts == [1, 4]
-        assert starts == [(5, 0), (0, 2)]
+        assert label_components(BinaryMask(bits)) == [
+            (1, BoundRect(5, 0, 1, 1)),
+            (4, BoundRect(0, 2, 2, 2)),
+        ]
 
     def test_empty_mask(self):
-        labels, counts, starts = label_components(BinaryMask(np.zeros((3, 3), dtype=bool)))
-        assert counts == [] and starts == []
-        assert (labels == -1).all()
+        assert label_components(BinaryMask(np.zeros((3, 3), dtype=bool))) == []
+
+    def test_u_shape_joins_late(self):
+        # two arms start as separate runs and meet only in the last row
+        bits = np.zeros((4, 5), dtype=bool)
+        bits[0:3, 0] = True
+        bits[0:3, 4] = True
+        bits[3, :] = True
+        assert label_components(BinaryMask(bits)) == [(11, BoundRect(0, 0, 5, 4))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            bool,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
+        )
+    )
+    def test_matches_flood_fill_on_arbitrary_masks(self, bits):
+        assert label_components(BinaryMask(bits)) == flood_fill_boxes(bits)
 
 
 class TestContours:
+    """A component's box is the extent of its outer boundary, whatever its
+    holes or shape."""
+
     def test_isolated_pixel(self):
         bits = np.zeros((3, 3), dtype=bool)
         bits[1, 1] = True
-        contours = trace_contours(BinaryMask(bits))
-        assert len(contours) == 1
-        assert contours[0].points == ((1, 1),)
+        assert label_components(BinaryMask(bits)) == [(1, BoundRect(1, 1, 1, 1))]
 
     def test_square_block_boundary(self):
         bits = np.zeros((5, 5), dtype=bool)
         bits[1:4, 1:4] = True
-        contours = trace_contours(BinaryMask(bits))
-        assert len(contours) == 1
-        pts = set(contours[0].points)
-        interior = {(2, 2)}
-        boundary = {(x, y) for y in range(1, 4) for x in range(1, 4)} - interior
-        assert pts == boundary
+        assert label_components(BinaryMask(bits)) == [(9, BoundRect(1, 1, 3, 3))]
 
     def test_two_components_starting_on_one_row(self):
-        # regression: both blobs must be traced from their own first pixel
         bits = np.zeros((4, 9), dtype=bool)
         bits[1:3, 1:4] = True
         bits[1:3, 6:8] = True
-        contours = trace_contours(BinaryMask(bits))
-        assert len(contours) == 2
-        assert contours[0].points[0] == (1, 1)
-        assert contours[1].points[0] == (6, 1)
-        assert {p[0] for p in contours[0].points} <= {1, 2, 3}
-        assert {p[0] for p in contours[1].points} <= {6, 7}
+        assert label_components(BinaryMask(bits)) == [
+            (6, BoundRect(1, 1, 3, 2)),
+            (4, BoundRect(6, 1, 2, 2)),
+        ]
 
-    def test_ring_traces_outer_boundary_only(self):
+    def test_ring_is_one_component(self):
         bits = np.zeros((7, 7), dtype=bool)
         bits[1:6, 1:6] = True
         bits[2:5, 2:5] = False  # hollow
-        contours = trace_contours(BinaryMask(bits))
-        assert len(contours) == 1
-        assert all(x in (1, 5) or y in (1, 5) for x, y in contours[0].points)
-        assert len(set(contours[0].points)) == 16
+        assert label_components(BinaryMask(bits)) == [(16, BoundRect(1, 1, 5, 5))]
+
+
+def box_of_mask(monkeypatch, bits) -> BoundRect:
+    """detect_bounding_box with the threshold step replaced by `bits`."""
+    monkeypatch.setattr(segment, "adaptive_threshold", lambda *_: BinaryMask(bits))
+    return detect_bounding_box(Image(np.zeros(bits.shape + (3,), dtype=np.uint8)))
 
 
 class TestBoundingBoxes:
-    def test_largest_contour_picks_biggest_component(self):
+    def test_largest_component_wins(self, monkeypatch):
         bits = np.zeros((8, 8), dtype=bool)
         bits[0, 0] = True
         bits[3:6, 3:7] = True
-        mask = BinaryMask(bits)
-        contour = largest_contour(trace_contours(mask), mask)
-        assert contour.points[0] == (3, 3)
+        assert box_of_mask(monkeypatch, bits) == BoundRect(3, 3, 4, 3)
 
-    def test_largest_contour_tie_breaks_by_scan_order(self):
+    def test_largest_component_tie_breaks_by_scan_order(self, monkeypatch):
         bits = np.zeros((6, 6), dtype=bool)
-        bits[0:2, 0:2] = True
-        bits[3:5, 3:5] = True
-        mask = BinaryMask(bits)
-        assert largest_contour(trace_contours(mask), mask).points[0] == (0, 0)
+        bits[3:5, 0:2] = True
+        bits[0:2, 3:5] = True
+        assert box_of_mask(monkeypatch, bits) == BoundRect(3, 0, 2, 2)
 
-    def test_largest_contour_empty_input(self):
+    def test_empty_mask_has_no_object(self, monkeypatch):
         with pytest.raises(NoObjectError):
-            largest_contour([], BinaryMask(np.zeros((2, 2), dtype=bool)))
+            box_of_mask(monkeypatch, np.zeros((3, 3), dtype=bool))
 
     def test_rect_matches_flood_fill_on_random_masks(self):
         rng = Xoshiro256StarStar(103)
         for _ in range(25):
             bits = (rng.doubles(20 * 24) < 0.3).reshape(20, 24)
-            mask = BinaryMask(bits)
-            boxes = flood_fill_boxes(bits)
-            contours = trace_contours(mask)
-            assert len(contours) == len(boxes)
-            if not boxes:
-                continue
-            best = max(boxes, key=lambda b: b[0])
-            got = minimum_bounding_rect(largest_contour(contours, mask))
-            assert got == next(box for count, box in boxes if count == best[0])
+            assert label_components(BinaryMask(bits)) == flood_fill_boxes(bits)
 
     def test_rect_of_single_point(self):
-        from rcc.segment import Contour
-
-        rect = minimum_bounding_rect(Contour(((4, 2),)))
-        assert rect == BoundRect(4, 2, 1, 1)
+        bits = np.zeros((5, 6), dtype=bool)
+        bits[2, 4] = True
+        assert label_components(BinaryMask(bits)) == [(1, BoundRect(4, 2, 1, 1))]
 
 
 class TestDilate:
