@@ -121,6 +121,17 @@ def classify_hsv(patch: Image, ranges: Sequence[HsvRange]) -> int | None:
     return None
 
 
+def count_hsv_hits(
+    patches: Sequence[Image], labels: Sequence[int], ranges: Sequence[HsvRange]
+) -> int:
+    """How many patches `classify_hsv` gives their label."""
+    return sum(
+        1
+        for patch, label in zip(patches, labels)
+        if classify_hsv(patch, ranges) == label
+    )
+
+
 RANGES_COLUMNS = ("class_index", "h_min", "h_max", "s_min", "v_min")
 
 

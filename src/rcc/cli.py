@@ -2,7 +2,8 @@
 
 Exit status contract: 0 success, 1 usage error, 2 no object found by
 `detect`, 3 I/O or file-format error, 4 numeric failure (gradient check,
-or a training run whose loss or weights go non-finite).
+a training run whose loss or weights go non-finite, or a forward pass
+whose logits do).
 """
 
 from __future__ import annotations
@@ -131,11 +132,7 @@ def cmd_baseline(args) -> int:
             Path(args.ranges).read_text(encoding="utf-8")
         )
     images, labels = harness.load_patches(manifest.split("test"), args.data)
-    hits = sum(
-        1
-        for img, label in zip(images, labels)
-        if baseline_mod.classify_hsv(img, ranges) == label
-    )
+    hits = baseline_mod.count_hsv_hits(images, labels, ranges)
     action = "calibrated" if args.calibrate else "loaded"
     print(
         f"{action} ranges: test accuracy {hits / len(labels):.4f} "

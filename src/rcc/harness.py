@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baseline import HsvRange, classify_hsv
+from .baseline import HsvRange, count_hsv_hits
 from .cubes import aggregate_votes, extract_color_cubes
 from .image import Image, read_ppm
 from .net import (
@@ -104,7 +104,7 @@ def train(
     Each epoch reshuffles the train split with the seeded PRNG, then both
     splits are fully evaluated; the whole run is a pure function of its
     arguments.  Raises NumericError, naming the epoch, as soon as a batch
-    loss or an updated tensor is non-finite.
+    loss, an updated tensor or a re-evaluation's logits are non-finite.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
@@ -127,19 +127,19 @@ def train(
     order = list(range(len(train_records)))
     for epoch in range(1, epochs + 1):
         rng.shuffle(order)
-        for start in range(0, len(order), batch):
-            picked = order[start : start + batch]
-            loss, grads = loss_and_gradients(
-                train_xs[picked], train_labels[picked], params
-            )
-            if not math.isfinite(loss):
-                raise NumericError(f"training loss went non-finite in epoch {epoch}")
-            try:
+        try:
+            for start in range(0, len(order), batch):
+                picked = order[start : start + batch]
+                loss, grads = loss_and_gradients(
+                    train_xs[picked], train_labels[picked], params
+                )
+                if not math.isfinite(loss):
+                    raise NumericError("training loss went non-finite")
                 params, velocity = sgd_step(params, grads, lr, momentum, velocity)
-            except NumericError as exc:
-                raise NumericError(f"{exc} in epoch {epoch}") from None
-        train_loss, train_acc = _split_stats(train_xs, train_labels, params)
-        val_loss, val_acc = _split_stats(test_xs, test_labels, params)
+            train_loss, train_acc = _split_stats(train_xs, train_labels, params)
+            val_loss, val_acc = _split_stats(test_xs, test_labels, params)
+        except NumericError as exc:
+            raise NumericError(f"{exc} in epoch {epoch}") from None
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
@@ -274,17 +274,11 @@ def compare_robustness(
         spec = IlluminationSpec((gain, gain, gain), 1.0, 0.0)
         perturbed = [apply_illumination(img, spec, 0) for img in images]
         predicted = logits(images_to_batch(perturbed), params).argmax(axis=1)
-        cnn_acc = float((predicted == labels).mean())
-        hsv_hits = sum(
-            1
-            for img, label in zip(perturbed, labels)
-            if classify_hsv(img, ranges) == label
-        )
         rows.append(
             RobustnessRow(
                 gain=gain,
-                cnn_acc=cnn_acc,
-                hsv_acc=hsv_hits / len(labels),
+                cnn_acc=float((predicted == labels).mean()),
+                hsv_acc=count_hsv_hits(perturbed, labels, ranges) / len(labels),
             )
         )
     return rows

@@ -208,7 +208,20 @@ class NetworkParams:
 # ---------------------------------------------------------------------------
 # batched primitives (B, C, H, W)
 
+# Output bytes per batch chunk of a conv forward pass: a chunk's sum and the
+# tap product added to it stay in cache.  256 KiB ran fastest at batch 16
+# and 200.
+_CONV_CHUNK_BYTES = 256 * 1024
+
+
 def _conv_batch(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, pad: int):
+    """Sum over taps (km, kn), in row-major order, of one K=in_ch GEMM each.
+
+    The input is padded once, with a spare zero row below, so each tap's
+    window is one flat run of h_out rows of the padded width `wp` that BLAS
+    reads in place.  The wp - w_out columns of each output row that wrap
+    into the next input row are computed and dropped by the returned view.
+    """
     b, c, h, w = x.shape
     out_ch, in_ch, m, n = filters.shape
     if in_ch != c:
@@ -217,15 +230,29 @@ def _conv_batch(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, pad: int):
     w_out = w + 2 * pad - n + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {m}x{n} does not fit input {h}x{w} with pad {pad}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    span = h_out * w_out
-    y = np.zeros((b, out_ch, span))
-    for km in range(m):
-        for kn in range(n):
-            patch = xp[:, :, km : km + h_out, kn : kn + w_out].reshape(b, c, span)
-            y += filters[:, :, km, kn] @ patch
-    y += bias[None, :, None]
-    return y.reshape(b, out_ch, h_out, w_out)
+    wp = w + 2 * pad
+    xp = np.zeros((b, c, h + 2 * pad + 1, wp))
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    flat = xp.reshape(b, c, -1)
+    span = h_out * wp
+    y = np.empty((b, out_ch, span))
+    chunk = max(1, _CONV_CHUNK_BYTES // (8 * out_ch * span))
+    product = np.empty((min(chunk, b), out_ch, span))
+    for start in range(0, b, chunk):
+        acc = y[start : start + chunk]
+        part = product[: len(acc)]
+        # the first tap is stored, not added to zeros: the two differ only in
+        # the sign of an all-zero sum, which adding a bias other than -0.0 clears
+        for tap, (km, kn) in enumerate(np.ndindex(m, n)):
+            offset = km * wp + kn
+            window = flat[start : start + chunk, :, offset : offset + span]
+            if tap == 0:
+                np.matmul(filters[:, :, km, kn], window, out=acc)
+            else:
+                np.matmul(filters[:, :, km, kn], window, out=part)
+                acc += part
+        acc += bias[:, None]
+    return y.reshape(b, out_ch, h_out, wp)[..., :w_out]
 
 
 def _conv_backward_batch(dy, x, filters, pad, input_grad):
@@ -252,35 +279,37 @@ def _conv_backward_batch(dy, x, filters, pad, input_grad):
     return d_filters, d_bias, dxp
 
 
-def _pool_blocks(x: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, H/k, W/k, k*k): each k x k block's values in row-major order."""
-    b, c, h, w = x.shape
+def _pool_views(x: np.ndarray, k: int) -> list[np.ndarray]:
+    """The k*k strided views x[:, :, i::k, j::k], (i, j) in row-major order:
+    view t holds entry t of every k x k block."""
+    h, w = x.shape[2:]
     if h % k or w % k:
         raise ShapeError(f"spatial dims {h}x{w} not divisible by pool window {k}")
-    h_out, w_out = h // k, w // k
-    return (
-        x.reshape(b, c, h_out, k, w_out, k)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, h_out, w_out, k * k)
-    )
+    return [x[:, :, i::k, j::k] for i, j in np.ndindex(k, k)]
 
 
-def _pool_batch(x: np.ndarray, k: int):
-    blocks = _pool_blocks(x, k)
-    # argmax picks the first maximum, i.e. row-major within each block
-    idx = blocks.argmax(axis=-1)
-    y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+def _pool_batch(x: np.ndarray, k: int, with_idx: bool = True):
+    """Block maxima and, when `with_idx`, each block's first (row-major)
+    maximum position in one byte, which is argmax's pick on finite input."""
+    views = _pool_views(x, k)
+    y = views[0].copy()
+    # on a tie np.maximum returns its second operand, so with the running
+    # maximum second a 0.0 / -0.0 tie keeps the earlier value, as argmax does
+    for view in views[1:]:
+        np.maximum(view, y, out=y)
+    if not with_idx:
+        return y, None
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(views) - 1))
+    for t in range(len(views) - 1, -1, -1):
+        np.copyto(idx, t, where=views[t] == y)
     return y, idx
 
 
 def _pool_backward_batch(dy, idx, in_shape, k):
-    blocks = np.zeros(idx.shape + (k * k,))
-    np.put_along_axis(blocks, idx[..., None], dy[..., None], axis=-1)
-    return (
-        blocks.reshape(idx.shape + (k, k))
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(in_shape)
-    )
+    dx = np.zeros(in_shape)
+    for t, view in enumerate(_pool_views(dx, k)):
+        np.copyto(view, dy, where=idx == t)
+    return dx
 
 
 def _fc_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -378,7 +407,7 @@ def _forward(
     `override` is a (weight, bias) pair used in place of layer `start`'s
     own.  When a `cache` list is given, each layer appends what backward
     needs: its (flattened, for fc) input, its pre-activation and, for
-    conv, the pool argmax.
+    conv, the pool argmax, which an eval-only pass does not compute.
     """
     last = len(params.layers) - 1
     for i in range(start, last + 1):
@@ -389,9 +418,8 @@ def _forward(
             weight, bias = getattr(layer, layer.weight_name), layer.bias
         if isinstance(layer, ConvLayerParams):
             z = _conv_batch(x, weight, bias, layer.padding)
-            # `a` is held until the next layer: freed at once, the pass ran ~5% slower
             a = np.maximum(z, 0.0)
-            y, idx = _pool_batch(a, POOL_WINDOW)
+            y, idx = _pool_batch(a, POOL_WINDOW, with_idx=cache is not None)
         else:
             x = x.reshape(x.shape[0], -1)
             z = _fc_batch(x, weight, bias)
@@ -432,8 +460,16 @@ def _backward(
 
 
 def logits(xs: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Class logits for a prepared (B, 3, 32, 32) batch."""
-    return _forward(params, xs)
+    """Class logits for a prepared (B, 3, 32, 32) batch.
+
+    Raises NumericError, with no numpy warning, when any logit is
+    non-finite: finite weights can still overflow the forward pass.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _forward(params, xs)
+    if not np.isfinite(out).all():
+        raise NumericError("forward pass made non-finite logits")
+    return out
 
 
 def network_forward(img_cube: Image, params: NetworkParams) -> np.ndarray:
@@ -442,8 +478,9 @@ def network_forward(img_cube: Image, params: NetworkParams) -> np.ndarray:
 
 
 def predict_probabilities(xs: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Class probabilities for a prepared (B, 3, 32, 32) batch."""
-    return _softmax_batch(_forward(params, xs))
+    """Class probabilities for a prepared (B, 3, 32, 32) batch; raises
+    NumericError like `logits`."""
+    return _softmax_batch(logits(xs, params))
 
 
 def loss_and_gradients(
@@ -608,8 +645,14 @@ def _kink_margin(params: NetworkParams, xs: np.ndarray) -> float:
     for _, z, idx in cache[:-1]:
         margin = min(margin, float(np.abs(z).min()))
         if idx is not None:
-            ordered = np.sort(_pool_blocks(np.maximum(z, 0.0), POOL_WINDOW), axis=-1)
-            gaps = (ordered[..., -1] - ordered[..., -2])[ordered[..., -1] > 0]
+            # running largest and second largest, ties counted twice
+            views = _pool_views(np.maximum(z, 0.0), POOL_WINDOW)
+            top = np.maximum(views[0], views[1])
+            second = np.minimum(views[0], views[1])
+            for view in views[2:]:
+                second = np.maximum(second, np.minimum(top, view))
+                top = np.maximum(top, view)
+            gaps = (top - second)[top > 0]
             if gaps.size:
                 margin = min(margin, float(gaps.min()))
     return margin

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rcc import baseline as baseline_mod
 from rcc import cli, harness
 from rcc.baseline import HsvRange
 from rcc.image import Image, read_ppm, write_ppm
@@ -31,6 +32,16 @@ def _rewrite(path, old, new):
 
 
 WIDE_OPEN_RANGES = [HsvRange(i, 0.0, 360.0, 0.0, 0.0) for i in range(6)]
+
+
+def _overflowing_model(path):
+    """A checkpoint of finite weights whose forward pass overflows to
+    non-finite logits."""
+    params = init_params(0)
+    tensors = dict(params.tensors())
+    tensors["fc2.weights"] = tensors["fc2.weights"] * 1e100
+    tensors["fc3.weights"] = tensors["fc3.weights"] * 1e300
+    path.write_bytes(save_checkpoint(params.replace_tensors(tensors)))
 
 
 class TestTrain:
@@ -65,6 +76,14 @@ class TestTrain:
         path, manifest = tiny_dataset
         with pytest.raises(NumericError, match="epoch 2"):
             harness.train(manifest, path, epochs=5, lr=1e6, batch=2, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_reevaluation_names_the_epoch(self, tiny_dataset):
+        # at this rate the weights stay finite through epoch 1 but the
+        # end-of-epoch forward pass overflows
+        path, manifest = tiny_dataset
+        with pytest.raises(NumericError, match="non-finite logits in epoch 1"):
+            harness.train(manifest, path, epochs=5, lr=1e8, batch=2, seed=0)
 
     def test_metrics_csv_shape(self):
         metrics = [harness.EpochMetrics(1, 1.5, 0.3, 1.6, 0.25)]
@@ -375,6 +394,24 @@ class TestCli:
         )
         assert code == 4
         assert "epoch 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "eval", "compare"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_model_is_numeric_error(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        model = tmp_path / "model.ckpt"
+        ranges = tmp_path / "ranges.csv"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=1)
+        _overflowing_model(model)
+        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        args = {
+            "detect": ["--image", str(data / "scene_00.ppm")],
+            "eval": ["--data", str(data), "--report", str(tmp_path / "report.json")],
+            "compare": ["--data", str(data), "--ranges", str(ranges),
+                        "--out", str(tmp_path / "sweep.csv")],
+        }[command]
+        assert cli.main([command, "--model", str(model)] + args) == 4
+        assert "non-finite logits" in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as err:

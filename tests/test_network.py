@@ -1,11 +1,18 @@
 """Network math: hand-checked values, naive oracles, and serialization."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcc import net
 from rcc.image import Image
 from rcc.net import (
     CLASS_NAMES,
@@ -34,6 +41,11 @@ from rcc.net import (
 )
 from rcc.rng import Xoshiro256StarStar
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+
 
 def naive_conv(x, filters, bias, pad):
     """Quadruple-loop cross-correlation, the reference implementation."""
@@ -52,6 +64,191 @@ def naive_conv(x, filters, bias, pad):
                             acc += filters[o, c, km, kn] * xp[c, yy + km, xx + kn]
                 y[o, yy, xx] = acc + bias[o]
     return y
+
+
+# The per-tap-copy conv and argmax pooling that the copy-free primitives in
+# rcc.net replaced.  They define the bytes those primitives must produce.
+
+def oracle_conv_batch(x, filters, bias, pad):
+    b, c, h, w = x.shape
+    out_ch, in_ch, m, n = filters.shape
+    h_out = h + 2 * pad - m + 1
+    w_out = w + 2 * pad - n + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    span = h_out * w_out
+    y = np.zeros((b, out_ch, span))
+    for km in range(m):
+        for kn in range(n):
+            patch = xp[:, :, km : km + h_out, kn : kn + w_out].reshape(b, c, span)
+            y += filters[:, :, km, kn] @ patch
+    y += bias[None, :, None]
+    return y.reshape(b, out_ch, h_out, w_out)
+
+
+def _oracle_pool_blocks(x, k):
+    b, c, h, w = x.shape
+    h_out, w_out = h // k, w // k
+    return (
+        x.reshape(b, c, h_out, k, w_out, k)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b, c, h_out, w_out, k * k)
+    )
+
+
+def oracle_pool_batch(x, k, with_idx=True):
+    """Always returns the argmax; `with_idx` only matches the signature."""
+    blocks = _oracle_pool_blocks(x, k)
+    idx = blocks.argmax(axis=-1)
+    y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    return y, idx
+
+
+def oracle_pool_backward_batch(dy, idx, in_shape, k):
+    blocks = np.zeros(idx.shape + (k * k,))
+    np.put_along_axis(blocks, idx[..., None], dy[..., None], axis=-1)
+    return (
+        blocks.reshape(idx.shape + (k, k))
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(in_shape)
+    )
+
+
+def _draw(rng, shape, kind):
+    """Normal values; or small integers, so pool blocks tie; or mostly
+    zeros of both signs, so whole blocks are zero."""
+    if kind == "normal":
+        return rng.standard_normal(shape)
+    if kind == "ties":
+        return rng.integers(-2, 3, shape).astype(np.float64)
+    values = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    spikes = rng.random(shape) < 0.05
+    values[spikes] = rng.standard_normal(int(spikes.sum()))
+    return values
+
+
+def _layer_cases():
+    """(layer, batch) for each conv layer and the batch sizes around its
+    chunk size, one chunk, and a full re-evaluation batch."""
+    cases = []
+    shape = (3, net.INPUT_SIZE, net.INPUT_SIZE)
+    for name, kind, weight_shape in net.LAYER_TABLE:
+        if kind is not ConvLayerParams:
+            break
+        out_ch, _, m, n = weight_shape
+        wp = shape[2] + 2
+        span = (shape[1] + 3 - m) * wp
+        chunk = max(1, net._CONV_CHUNK_BYTES // (8 * out_ch * span))
+        for batch in sorted({1, max(1, chunk - 1), chunk, chunk + 1, 200}):
+            case_id = f"{name}-b{batch}"
+            cases.append(pytest.param(weight_shape, shape, batch, id=case_id))
+        shape = (out_ch, shape[1] // 2, shape[2] // 2)
+    return cases
+
+
+LAYER_CASES = _layer_cases()
+KINDS = st.sampled_from(["normal", "ties", "zeros"])
+
+
+class TestPrimitivesMatchOracles:
+    @pytest.mark.parametrize("weight_shape, in_shape, batch", LAYER_CASES)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=KINDS)
+    def test_conv(self, weight_shape, in_shape, batch, seed, kind):
+        rng = np.random.default_rng(seed)
+        x = _draw(rng, (batch,) + in_shape, kind)
+        filters = _draw(rng, weight_shape, kind)
+        bias = _draw(rng, weight_shape[:1], kind)
+        got = net._conv_batch(x, filters, bias, 1)
+        assert np.array_equal(got, oracle_conv_batch(x, filters, bias, 1))
+
+    @pytest.mark.parametrize("weight_shape, in_shape, batch", LAYER_CASES)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=KINDS)
+    def test_pool_and_pool_backward(self, weight_shape, in_shape, batch, seed, kind):
+        rng = np.random.default_rng(seed)
+        x = _draw(rng, (batch, weight_shape[0]) + in_shape[1:], kind)
+        y, idx = net._pool_batch(x, net.POOL_WINDOW)
+        want_y, want_idx = oracle_pool_batch(x, net.POOL_WINDOW)
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(net._pool_batch(x, net.POOL_WINDOW, False)[0], want_y)
+        dy = rng.standard_normal(y.shape)
+        assert np.array_equal(
+            net._pool_backward_batch(dy, idx, x.shape, net.POOL_WINDOW),
+            oracle_pool_backward_batch(dy, want_idx, x.shape, net.POOL_WINDOW),
+        )
+
+    def test_logits_equal_the_cached_forward_pass(self):
+        params = init_params(0)
+        xs = Xoshiro256StarStar(203).doubles(40 * 3 * 32 * 32).reshape(40, 3, 32, 32)
+        cached = net._forward(params, xs, cache=[])
+        assert net.logits(xs, params).tobytes() == cached.tobytes()
+
+
+# Trains two steps and takes batch-200 logits with the program, then with the
+# oracles patched in; prints both digests.
+_KERNEL_SCRIPT = """
+import hashlib, importlib.util, sys
+from rcc import net
+from rcc.rng import Xoshiro256StarStar
+
+spec = importlib.util.spec_from_file_location("oracles", sys.argv[1])
+oracles = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(oracles)
+
+def digest():
+    rng = Xoshiro256StarStar(204)
+    xs = rng.doubles(200 * 3 * 32 * 32).reshape(200, 3, 32, 32)
+    labels = rng.integers_below(6, 200)
+    params, velocity = net.init_params(0), None
+    h = hashlib.sha256()
+    for start in (0, 16):
+        loss, grads = net.loss_and_gradients(
+            xs[start : start + 16], labels[start : start + 16], params
+        )
+        params, velocity = net.sgd_step(params, grads, 0.01, 0.9, velocity)
+        h.update(repr(loss).encode())
+    h.update(net.save_checkpoint(params))
+    h.update(net.logits(xs, params).tobytes())
+    return h.hexdigest()
+
+program = digest()
+net._conv_batch = oracles.oracle_conv_batch
+net._pool_batch = oracles.oracle_pool_batch
+net._pool_backward_batch = oracles.oracle_pool_backward_batch
+print(program, digest())
+"""
+
+# OpenBLAS kernel name -> numpy CPU features it needs; the CPU must have
+# them, or the forced kernel would hit an illegal instruction.
+BLAS_KERNELS = {
+    None: (),
+    "Haswell": ("AVX2", "FMA3"),
+    "Sandybridge": ("AVX",),
+    "Nehalem": ("SSE42",),
+    "Prescott": ("SSE3",),
+}
+
+
+@pytest.mark.parametrize("coretype", list(BLAS_KERNELS), ids=lambda c: c or "default")
+def test_training_and_logits_bytes_match_oracles_under_blas_kernel(coretype):
+    """Same bytes as the oracles under each OpenBLAS kernel, not just the
+    one this CPU picks: the copy-free conv changes each GEMM's operands
+    and width, so equal bytes must not hinge on one kernel's rounding."""
+    if not all(CPU_FEATURES.get(f) for f in BLAS_KERNELS[coretype]):
+        pytest.skip(f"CPU cannot run the {coretype} kernel")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = Path(net.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _KERNEL_SCRIPT, __file__],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    program, oracle = done.stdout.split()
+    assert program == oracle
 
 
 class TestConv:
