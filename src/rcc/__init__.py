@@ -8,7 +8,7 @@ comparison baseline, and a deterministic synthetic generator provides data.
 """
 
 from .baseline import CalibrationError, HsvRange, calibrate_ranges, classify_hsv
-from .cubes import CubeGrid, CubeSpec, aggregate_votes, extract_color_cubes
+from .cubes import CubeGrid, aggregate_votes, extract_color_cubes
 from .image import (
     GrayImage,
     HsvPixel,
@@ -38,7 +38,6 @@ from .segment import (
     BinaryMask,
     BoundRect,
     NoObjectError,
-    SegmentationConfig,
     detect_bounding_box,
 )
 from .synth import (
@@ -61,7 +60,6 @@ __all__ = [
     "ColorClass",
     "ConvLayerParams",
     "CubeGrid",
-    "CubeSpec",
     "EpochMetrics",
     "EvalReport",
     "FcLayerParams",
@@ -75,7 +73,6 @@ __all__ = [
     "PoolSpec",
     "PpmError",
     "SampleManifest",
-    "SegmentationConfig",
     "ShapeError",
     "aggregate_votes",
     "calibrate_ranges",

@@ -19,9 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .image import Image, rgb_to_hsv
+from .net import CLASS_NAMES
+from .synth import read_csv
 
-
-N_CLASSES = 6
+N_CLASSES = len(CLASS_NAMES)
 
 
 class CalibrationError(Exception):
@@ -49,8 +50,11 @@ class HsvRange:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0 <= self.h_min < 360:
             raise ValueError(f"h_min {self.h_min} outside [0, 360)")
-        if self.h_max < self.h_min:
-            raise ValueError(f"h_max {self.h_max} below h_min {self.h_min}")
+        # also false for a NaN h_max
+        if not self.h_min <= self.h_max <= self.h_min + 360.0:
+            raise ValueError(
+                f"h_max {self.h_max} outside [h_min, h_min + 360] for h_min {self.h_min}"
+            )
         for name, value in (("s_min", self.s_min), ("v_min", self.v_min)):
             if not 0 <= value <= 1:
                 raise ValueError(f"{name} {value} outside [0, 1]")
@@ -147,32 +151,23 @@ def ranges_to_csv(ranges: Sequence[HsvRange]) -> str:
     return out.getvalue()
 
 
-def ranges_from_csv(text: str) -> list[HsvRange]:
+def ranges_from_csv(text: str, name: str = "ranges.csv") -> list[HsvRange]:
     """Ranges in class order; ValueError naming the line unless every row
     is complete and there is exactly one per class 0..N_CLASSES-1."""
-    reader = csv.DictReader(io.StringIO(text))
-    if tuple(reader.fieldnames or ()) != RANGES_COLUMNS:
-        raise ValueError(f"unexpected ranges columns {reader.fieldnames}")
     ranges: dict[int, HsvRange] = {}
-    for row in reader:
-        where = f"ranges line {reader.line_num}"
-        # DictReader keys extra fields under None and fills missing ones with None
-        if None in row or None in row.values():
-            raise ValueError(f"{where}: expected {len(RANGES_COLUMNS)} fields")
-        try:  # the columns are HsvRange's fields, in order
-            r = HsvRange(
-                int(row["class_index"]), *(float(row[c]) for c in RANGES_COLUMNS[1:])
-            )
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
+
+    def parse(row: dict) -> None:
+        # the columns are HsvRange's fields, in order
+        r = HsvRange(int(row["class_index"]), *(float(row[c]) for c in RANGES_COLUMNS[1:]))
         if not 0 <= r.class_index < N_CLASSES:
-            raise ValueError(f"{where}: class index {r.class_index} out of range")
+            raise ValueError(f"class index {r.class_index} out of range")
         if r.class_index in ranges:
-            raise ValueError(f"{where}: second row for class {r.class_index}")
+            raise ValueError(f"second row for class {r.class_index}")
         ranges[r.class_index] = r
+
+    rows = read_csv(text, RANGES_COLUMNS, name, parse)
     for index in range(N_CLASSES):
         if index not in ranges:
-            raise ValueError(
-                f"ranges line {reader.line_num}: file ends, no row for class {index}"
-            )
+            last = rows[-1][0] if rows else 1
+            raise ValueError(f"{name} line {last}: file ends, no row for class {index}")
     return [ranges[index] for index in range(N_CLASSES)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .net import (
     init_params,
     load_checkpoint,
 )
-from .segment import BoundRect, NoObjectError, SegmentationConfig
+from .segment import MODES, BoundRect, NoObjectError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,8 +44,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, test, what: str):
+    """An argparse type: `convert` the text, then require `test` of the value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's message for unparseable text
+    return parse
+
+
+_POSITIVE = _checked(int, lambda v: v >= 1, "a positive integer")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_LEARNING_RATE = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a finite positive number"
+)
+_MOMENTUM = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+
+
 def _load_model(path: str) -> net.NetworkParams:
     return load_checkpoint(Path(path).read_bytes())
+
+
+def _load_ranges(path: str) -> list[baseline_mod.HsvRange]:
+    path = Path(path)
+    return baseline_mod.ranges_from_csv(path.read_text(encoding="utf-8"), path.name)
 
 
 def cmd_gen(args) -> int:
@@ -95,9 +122,8 @@ def cmd_eval(args) -> int:
 def cmd_detect(args) -> int:
     img = read_ppm(Path(args.image).read_bytes())
     params = _load_model(args.model)
-    cfg = SegmentationConfig(mode=args.segmenter)
     try:
-        record = harness.detect(img, params, cfg)
+        record = harness.detect(img, params, args.segmenter)
     except NoObjectError:
         print(json.dumps({"error": "no_object"}))
         return EXIT_NO_OBJECT
@@ -128,9 +154,7 @@ def cmd_baseline(args) -> int:
             baseline_mod.ranges_to_csv(ranges), encoding="utf-8"
         )
     else:
-        ranges = baseline_mod.ranges_from_csv(
-            Path(args.ranges).read_text(encoding="utf-8")
-        )
+        ranges = _load_ranges(args.ranges)
     images, labels = harness.load_patches(manifest.split("test"), args.data)
     hits = baseline_mod.count_hsv_hits(images, labels, ranges)
     action = "calibrated" if args.calibrate else "loaded"
@@ -144,9 +168,7 @@ def cmd_baseline(args) -> int:
 def cmd_compare(args) -> int:
     manifest = synth.read_manifest(args.data)
     params = _load_model(args.model)
-    ranges = baseline_mod.ranges_from_csv(
-        Path(args.ranges).read_text(encoding="utf-8")
-    )
+    ranges = _load_ranges(args.ranges)
     rows = harness.compare_robustness(manifest, args.data, params, ranges)
     Path(args.out).write_text(harness.robustness_to_csv(rows), encoding="utf-8")
     mean_cnn = sum(r.cnn_acc for r in rows) / len(rows)
@@ -175,20 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate the synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--count", type=int, default=250)
-    p.add_argument("--train", type=int, default=200)
+    p.add_argument("--count", type=_POSITIVE, default=250)
+    p.add_argument("--train", type=_NON_NEGATIVE, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenes", type=int, default=24)
+    p.add_argument("--scenes", type=_NON_NEGATIVE, default=24)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train the classifier")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--metrics", required=True, help="metrics CSV to write")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--epochs", type=_NON_NEGATIVE, default=300)
+    p.add_argument("--lr", type=_LEARNING_RATE, default=0.01)
+    p.add_argument("--momentum", type=_MOMENTUM, default=0.9)
+    p.add_argument("--batch", type=_POSITIVE, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -201,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="locate and classify the object in an image")
     p.add_argument("--image", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--segmenter", choices=("adaptive", "sobel"), default="adaptive")
+    p.add_argument("--segmenter", choices=MODES, default="adaptive")
     p.add_argument("--annotate", help="write a copy with the box drawn in red")
     p.add_argument("--json", action="store_true", help="print the JSON record")
     p.set_defaults(func=cmd_detect)
@@ -230,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "gen" and args.train >= args.count:
+        parser.error(f"--train {args.train} must be below --count {args.count}")
     try:
         return args.func(args)
     except NumericError as exc:

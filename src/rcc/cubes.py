@@ -21,21 +21,6 @@ GRID_SIDE = 3
 
 
 @dataclass(frozen=True)
-class CubeSpec:
-    """Edge length of one cube and of the full grid footprint."""
-
-    size: int = CUBE_SIZE
-
-    def __post_init__(self):
-        if self.size < 2 or self.size % 2:
-            raise ValueError(f"cube size must be even and >= 2, got {self.size}")
-
-    @property
-    def footprint(self) -> int:
-        return GRID_SIDE * self.size
-
-
-@dataclass(frozen=True)
 class CubeGrid:
     """Nine cubes with their centers and rects in resized-crop coordinates.
 
@@ -94,30 +79,28 @@ def cube_centers(width: int, height: int) -> tuple[tuple[int, int], ...]:
     return tuple(centers)
 
 
-def extract_color_cubes(
-    img: Image, rect: BoundRect, spec: CubeSpec | None = None
-) -> CubeGrid:
-    """Crop the box and sample nine size x size cubes at cell midpoints.
+def extract_color_cubes(img: Image, rect: BoundRect) -> CubeGrid:
+    """Crop the box and sample nine CUBE_SIZE x CUBE_SIZE cubes at cell
+    midpoints.
 
     Crops smaller than the 3x3 footprint in either dimension are upscaled
     (nearest neighbor, aspect preserved up to rounding) until both
     dimensions fit, so every cube lies fully inside the crop.
     """
-    spec = spec or CubeSpec()
     area = crop(img, rect)
-    need = spec.footprint
+    need = GRID_SIDE * CUBE_SIZE
     if area.width < need or area.height < need:
         factor = max(need / area.width, need / area.height)
         new_w = max(math.ceil(area.width * factor), need)
         new_h = max(math.ceil(area.height * factor), need)
         area = resize_nearest(area, new_w, new_h)
-    half = spec.size // 2
+    half = CUBE_SIZE // 2
     centers = cube_centers(area.width, area.height)
     cubes = []
     rects = []
     for x1, y1 in centers:
         left, top = x1 - half, y1 - half
-        cube_rect = BoundRect(left, top, spec.size, spec.size)
+        cube_rect = BoundRect(left, top, CUBE_SIZE, CUBE_SIZE)
         cubes.append(crop(area, cube_rect))
         rects.append(cube_rect)
     return CubeGrid(

@@ -31,7 +31,7 @@ from .net import (
     sgd_step,
 )
 from .rng import Xoshiro256StarStar
-from .segment import BoundRect, SegmentationConfig, detect_bounding_box
+from .segment import BoundRect, detect_bounding_box
 from .synth import IlluminationSpec, SampleManifest, SampleRecord, apply_illumination
 
 DEFAULT_GAIN_SWEEP = (0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6)
@@ -167,13 +167,14 @@ def metrics_to_csv(metrics: Sequence[EpochMetrics]) -> str:
     return out.getvalue()
 
 
-def evaluate_arrays(
-    xs: np.ndarray, labels: np.ndarray, params: NetworkParams
+def evaluate(
+    records: Sequence[SampleRecord], data_dir: str | Path, params: NetworkParams
 ) -> EvalReport:
-    """Score a prepared batch: argmax predictions vs true labels."""
-    if len(xs) == 0:
+    """Load a manifest split from disk and score its argmax predictions."""
+    if not records:
         raise ValueError("cannot evaluate an empty split")
-    predicted = logits(xs, params).argmax(axis=1)
+    images, labels = load_patches(records, data_dir)
+    predicted = logits(images_to_batch(images), params).argmax(axis=1)
     n = len(params.class_names)
     confusion = np.zeros((n, n), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
@@ -189,14 +190,6 @@ def evaluate_arrays(
     )
 
 
-def evaluate(
-    records: Sequence[SampleRecord], data_dir: str | Path, params: NetworkParams
-) -> EvalReport:
-    """Load a manifest split from disk and score it."""
-    images, labels = load_patches(records, data_dir)
-    return evaluate_arrays(images_to_batch(images), labels, params)
-
-
 def report_to_json_dict(report: EvalReport, class_names: Sequence[str]) -> dict:
     return {
         "accuracy": report.accuracy,
@@ -207,16 +200,12 @@ def report_to_json_dict(report: EvalReport, class_names: Sequence[str]) -> dict:
     }
 
 
-def detect(
-    img: Image,
-    params: NetworkParams,
-    cfg: SegmentationConfig | None = None,
-) -> dict:
+def detect(img: Image, params: NetworkParams, mode: str = "adaptive") -> dict:
     """Full pipeline on one image: box, nine cube predictions, vote.
 
     Raises NoObjectError when segmentation finds nothing.
     """
-    box = detect_bounding_box(img, cfg)
+    box = detect_bounding_box(img, mode)
     grid = extract_color_cubes(img, box)
     probs = predict_probabilities(images_to_batch(grid.cubes), params)
     cube_labels = [int(i) for i in probs.argmax(axis=1)]

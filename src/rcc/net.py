@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -154,7 +154,7 @@ LAYER_TABLE = (
     ("conv3", ConvLayerParams, (32, 16, 3, 3)),
     ("fc1", FcLayerParams, (64, 512)),
     ("fc2", FcLayerParams, (32, 64)),
-    ("fc3", FcLayerParams, (6, 32)),
+    ("fc3", FcLayerParams, (len(CLASS_NAMES), 32)),
 )
 LAYER_NAMES = tuple(name for name, _, _ in LAYER_TABLE)
 Layer = ConvLayerParams | FcLayerParams
@@ -170,7 +170,7 @@ class NetworkParams:
     fc1: FcLayerParams
     fc2: FcLayerParams
     fc3: FcLayerParams
-    class_names: tuple[str, ...] = CLASS_NAMES
+    class_names: ClassVar[tuple[str, ...]] = CLASS_NAMES
     layers: tuple[tuple[str, Layer], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -202,7 +202,7 @@ class NetworkParams:
                 layers[name] = ConvLayerParams(weight, bias, layer.padding)
             else:
                 layers[name] = FcLayerParams(weight, bias)
-        return NetworkParams(**layers, class_names=self.class_names)
+        return NetworkParams(**layers)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +535,7 @@ def sgd_step(
     return params.replace_tensors(new_tensors), new_velocity
 
 
-def init_params(seed: int, class_names: tuple[str, ...] = CLASS_NAMES) -> NetworkParams:
+def init_params(seed: int) -> NetworkParams:
     """He-normal weights (std = sqrt(2/fan_in)), zero biases, fixed draw order."""
     rng = Xoshiro256StarStar(seed)
     layers = {}
@@ -543,7 +543,7 @@ def init_params(seed: int, class_names: tuple[str, ...] = CLASS_NAMES) -> Networ
         fan_in = math.prod(shape[1:])
         weight = rng.normals(math.prod(shape)).reshape(shape)
         layers[name] = kind(weight * math.sqrt(2.0 / fan_in), np.zeros(shape[0]))
-    return NetworkParams(**layers, class_names=class_names)
+    return NetworkParams(**layers)
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,6 @@ class BinaryMask:
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
 
 @dataclass(frozen=True)
 class BoundRect:
@@ -60,23 +52,12 @@ class BoundRect:
             raise ValueError(f"box size {self.w}x{self.h} must be at least 1x1")
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
-    """Tunable knobs of detect_bounding_box; defaults match the CLI."""
-
-    mode: str = "adaptive"  # "adaptive" or "sobel"
-    sigma: float = 1.4
-    window: int = 11
-    c: float = 2.0
-    sobel_threshold: int = 80
-    dilate_passes: int = 1  # gap closing before labelling, sobel mode only
-    polarity: str = "dark"  # foreground side of the local mean: "dark" or "light"
-
-    def __post_init__(self):
-        if self.mode not in ("adaptive", "sobel"):
-            raise ValueError(f"unknown segmentation mode {self.mode!r}")
-        if self.polarity not in ("dark", "light"):
-            raise ValueError(f"unknown polarity {self.polarity!r}")
+# detect_bounding_box's settings; the CLI chooses only the mode
+MODES = ("adaptive", "sobel")
+BLUR_SIGMA = 1.4
+THRESHOLD_WINDOW = 11
+THRESHOLD_OFFSET = 2.0
+SOBEL_THRESHOLD = 80
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -111,33 +92,25 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     return GrayImage(np.clip(round_half_away(acc), 0, 255).astype(np.uint8))
 
 
-def _window_means(gray: np.ndarray, window: int) -> np.ndarray:
-    """Exact window x window neighborhood means with replicated borders.
+def adaptive_threshold(img: GrayImage, window: int, c: float) -> BinaryMask:
+    """Mark pixels darker than their local window mean minus the offset c.
 
-    Sums are integer (int64) so the mean is a single exact division;
-    this keeps the fast path bit-identical to a per-pixel oracle.
+    The window x window sums, with replicated borders, come from an int64
+    integral image, so each mean is a single exact division; this keeps
+    the fast path bit-identical to a per-pixel oracle.
     """
-    radius = window // 2
-    padded = np.pad(gray.astype(np.int64), radius, mode="edge")
+    if window < 3 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 3, got {window}")
+    padded = np.pad(img.pixels.astype(np.int64), window // 2, mode="edge")
     integral = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
     integral[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
-    h, w = gray.shape
     sums = (
         integral[window:, window:]
         - integral[:-window, window:]
         - integral[window:, :-window]
         + integral[:-window, :-window]
     )
-    assert sums.shape == (h, w)
-    return sums / float(window * window)
-
-
-def adaptive_threshold(img: GrayImage, window: int, c: float) -> BinaryMask:
-    """Mark pixels darker than their local window mean minus the offset c."""
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
-    means = _window_means(img.pixels, window)
-    return BinaryMask(img.pixels.astype(np.float64) < means - c)
+    return BinaryMask(img.pixels.astype(np.float64) < sums / float(window * window) - c)
 
 
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
@@ -214,37 +187,30 @@ def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:
     return components
 
 
-def dilate(mask: BinaryMask, passes: int = 1) -> BinaryMask:
+def dilate(mask: BinaryMask) -> BinaryMask:
     """Binary dilation with the full 3x3 structuring element."""
     bits = mask.bits
-    for _ in range(passes):
-        padded = np.pad(bits, 1, mode="constant")
-        grown = np.zeros_like(bits)
-        h, w = bits.shape
-        for dy in range(3):
-            for dx in range(3):
-                grown |= padded[dy : dy + h, dx : dx + w]
-        bits = grown
-    return BinaryMask(bits)
+    h, w = bits.shape
+    padded = np.pad(bits, 1, mode="constant")
+    grown = np.zeros_like(bits)
+    for dy in range(3):
+        for dx in range(3):
+            grown |= padded[dy : dy + h, dx : dx + w]
+    return BinaryMask(grown)
 
 
-def detect_bounding_box(img: Image, cfg: SegmentationConfig | None = None) -> BoundRect:
+def detect_bounding_box(img: Image, mode: str = "adaptive") -> BoundRect:
     """Locate the dominant object and return its bounding rectangle."""
-    cfg = cfg or SegmentationConfig()
-    blurred = gaussian_blur(rgb_to_gray(img), cfg.sigma)
-    if cfg.mode == "adaptive":
-        if cfg.polarity == "dark":
-            mask = adaptive_threshold(blurred, cfg.window, cfg.c)
-        else:
-            means = _window_means(blurred.pixels, cfg.window)
-            mask = BinaryMask(blurred.pixels.astype(np.float64) > means + cfg.c)
+    if mode not in MODES:
+        raise ValueError(f"unknown segmentation mode {mode!r}")
+    blurred = gaussian_blur(rgb_to_gray(img), BLUR_SIGMA)
+    if mode == "adaptive":
+        mask = adaptive_threshold(blurred, THRESHOLD_WINDOW, THRESHOLD_OFFSET)
     elif min(blurred.pixels.shape) < 3:
         raise NoObjectError("image is smaller than the 3x3 Sobel window")
     else:
         edges = sobel_magnitude(blurred)
-        mask = BinaryMask(edges.pixels > cfg.sobel_threshold)
-        if cfg.dilate_passes > 0:
-            mask = dilate(mask, cfg.dilate_passes)
+        mask = dilate(BinaryMask(edges.pixels > SOBEL_THRESHOLD))
     components = label_components(mask)
     if not components:
         raise NoObjectError("no foreground component found")

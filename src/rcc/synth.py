@@ -13,6 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .image import Image, round_half_away, write_ppm
 from .net import CLASS_NAMES
 from .rng import Xoshiro256StarStar, derive_stream_seed
 from .segment import BoundRect
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -236,72 +239,82 @@ def scenes_to_csv(scenes: tuple[SceneRecord, ...]) -> str:
     return out.getvalue()
 
 
+def read_csv(
+    text: str, columns: tuple[str, ...], name: str, parse: Callable[[dict], T]
+) -> list[tuple[int, T]]:
+    """(line number, `parse(row)`) for each row of a CSV text, in file order.
+
+    Raises ValueError unless the header is `columns` and every row has
+    exactly that many fields; that error, and any ValueError from `parse`,
+    names the file and the line.
+    """
+    reader = csv.DictReader(io.StringIO(text))
+    if tuple(reader.fieldnames or ()) != columns:
+        raise ValueError(f"unexpected {name} columns {reader.fieldnames}")
+    parsed = []
+    for row in reader:
+        try:
+            # DictReader keys extra fields under None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(columns)} fields")
+            parsed.append((reader.line_num, parse(row)))
+        except ValueError as exc:
+            raise ValueError(f"{name} line {reader.line_num}: {exc}") from exc
+    return parsed
+
+
 def _class_index(row: dict) -> int:
     """The row's class index, checked against the class table."""
     index = int(row["class_index"])
     if not 0 <= index < len(CLASS_NAMES):
-        raise ValueError(f"{row['filename']}: class_index {index} out of range")
+        raise ValueError(f"class_index {index} out of range")
     if row["class_name"] != CLASS_NAMES[index]:
         raise ValueError(
-            f"{row['filename']}: class_name {row['class_name']!r} does not match "
+            f"class_name {row['class_name']!r} does not match "
             f"class_index {index} ({CLASS_NAMES[index]})"
         )
     return index
 
 
-def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
-    """A CSV file's rows as dicts; ValueError unless the header is `columns`
-    and every row has exactly that many fields."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != columns:
-            raise ValueError(f"unexpected {path.name} columns {reader.fieldnames}")
-        rows = []
-        for row in reader:
-            # DictReader keys extra fields under None and fills missing ones with None
-            if None in row or None in row.values():
-                raise ValueError(
-                    f"{path.name} line {reader.line_num}: expected "
-                    f"{len(columns)} fields"
-                )
-            rows.append(row)
-    return rows
+def _sample_record(row: dict) -> SampleRecord:
+    return SampleRecord(
+        filename=row["filename"],
+        class_index=_class_index(row),
+        class_name=row["class_name"],
+        split=row["split"],
+        brightness_gain=float(row["brightness_gain"]),
+        illuminant_name=row["illuminant_name"],
+        seed=int(row["seed"]),
+    )
+
+
+def _scene_record(row: dict) -> SceneRecord:
+    return SceneRecord(
+        filename=row["filename"],
+        class_index=_class_index(row),
+        class_name=row["class_name"],
+        rect=BoundRect(int(row["x"]), int(row["y"]), int(row["w"]), int(row["h"])),
+        illuminant_name=row["illuminant_name"],
+    )
 
 
 def read_manifest(data_dir: str | Path) -> SampleManifest:
     """Load manifest.csv (and scenes.csv when present) from a dataset dir.
 
-    Raises ValueError on unexpected columns, a row with missing or extra
-    fields, a class index outside the class table, or a class name that
-    does not match its index.
+    Raises ValueError on unexpected columns, a row with missing, extra or
+    malformed fields, a class index outside the class table, or a class
+    name that does not match its index; a row's error names its line.
     """
     data_dir = Path(data_dir)
-    records = tuple(
-        SampleRecord(
-            filename=row["filename"],
-            class_index=_class_index(row),
-            class_name=row["class_name"],
-            split=row["split"],
-            brightness_gain=float(row["brightness_gain"]),
-            illuminant_name=row["illuminant_name"],
-            seed=int(row["seed"]),
-        )
-        for row in _read_rows(data_dir / "manifest.csv", MANIFEST_COLUMNS)
-    )
+
+    def rows(name, columns, parse):
+        text = (data_dir / name).read_text(encoding="utf-8")
+        return tuple(row for _, row in read_csv(text, columns, name, parse))
+
+    records = rows("manifest.csv", MANIFEST_COLUMNS, _sample_record)
     scenes: tuple[SceneRecord, ...] = ()
-    scenes_path = data_dir / "scenes.csv"
-    if scenes_path.exists():
-        scenes = tuple(
-            SceneRecord(
-                filename=row["filename"],
-                class_index=_class_index(row),
-                class_name=row["class_name"],
-                rect=BoundRect(int(row["x"]), int(row["y"]),
-                               int(row["w"]), int(row["h"])),
-                illuminant_name=row["illuminant_name"],
-            )
-            for row in _read_rows(scenes_path, SCENES_COLUMNS)
-        )
+    if (data_dir / "scenes.csv").exists():
+        scenes = rows("scenes.csv", SCENES_COLUMNS, _scene_record)
     return SampleManifest(records=records, scenes=scenes)
 
 

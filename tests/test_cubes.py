@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rcc.cubes import (
     CUBE_SIZE,
-    CubeSpec,
     aggregate_votes,
     crop,
     cube_centers,
@@ -116,10 +115,6 @@ class TestGridExtraction:
             assert rect.x >= 0 and rect.y >= 0
             assert rect.x + rect.w <= cw and rect.y + rect.h <= ch
             assert rect.w == CUBE_SIZE and rect.h == CUBE_SIZE
-
-    def test_odd_cube_size_rejected(self):
-        with pytest.raises(ValueError):
-            CubeSpec(size=31)
 
 
 def one_hot_rows(labels, n_classes=6, confidence=1.0):

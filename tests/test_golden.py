@@ -22,7 +22,7 @@ import pytest
 
 from rcc.image import read_ppm, write_ppm
 from rcc.net import init_params, save_checkpoint
-from rcc.segment import BoundRect, SegmentationConfig, detect_bounding_box
+from rcc.segment import BoundRect, detect_bounding_box
 from rcc.synth import COLOR_CLASSES, ILLUMINANT_PRESETS, generate_dataset, render_scene
 
 GOLDEN = Path(__file__).parent / "data" / "golden_seed0.sha256"
@@ -84,9 +84,8 @@ def test_generator_bytes_match_golden(seed0):
 def test_detect_boxes_match_golden(seed0, mode):
     path, manifest = seed0
     names = [s.filename for s in manifest.scenes] + ["render_scene_640x480.ppm"]
-    cfg = SegmentationConfig(mode=mode)
     boxes = [
-        dataclasses.astuple(detect_bounding_box(read_ppm((path / n).read_bytes()), cfg))
+        dataclasses.astuple(detect_bounding_box(read_ppm((path / n).read_bytes()), mode))
         for n in names
     ]
     assert boxes == DETECT_BOXES[mode]

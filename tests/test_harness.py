@@ -31,6 +31,13 @@ def _rewrite(path, old, new):
     path.write_text(path.read_text().replace(old, new))
 
 
+def _set_field(lines, line, column, value):
+    """`lines` with field `column` of 1-based line `line` set to `value`."""
+    fields = lines[line - 1].split(",")
+    fields[column] = value
+    return lines[: line - 1] + [",".join(fields)] + lines[line:]
+
+
 WIDE_OPEN_RANGES = [HsvRange(i, 0.0, 360.0, 0.0, 0.0) for i in range(6)]
 
 
@@ -251,7 +258,9 @@ class TestCli:
         (lambda lines: lines + [lines[1]], "line 8: second row for class 0"),
         (lambda lines: lines[:6] + ["9" + lines[6][1:]],
          "line 7: class index 9 out of range"),
-    ], ids=["short", "missing", "duplicate", "index"])
+        (lambda lines: _set_field(lines, 6, 2, "nan"), "line 6: h_max nan outside"),
+        (lambda lines: _set_field(lines, 6, 2, "inf"), "line 6: h_max inf outside"),
+    ], ids=["short", "missing", "duplicate", "index", "nan", "inf"])
     def test_bad_ranges_file_is_io_error(self, tmp_path, capsys, edit, message):
         data = tmp_path / "data"
         ranges = tmp_path / "ranges.csv"
@@ -412,6 +421,51 @@ class TestCli:
         }[command]
         assert cli.main([command, "--model", str(model)] + args) == 4
         assert "non-finite logits" in capsys.readouterr().err
+
+    def test_bad_manifest_value_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        manifest = data / "manifest.csv"
+        manifest.write_text(
+            "\n".join(_set_field(manifest.read_text().splitlines(), 4, 4, "abc")) + "\n"
+        )
+        code = cli.main(
+            ["baseline", "--data", str(data), "--ranges", str(tmp_path / "r.csv"),
+             "--calibrate"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "manifest.csv line 4: could not convert string to float: 'abc'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--count", "0"],
+        ["gen", "--count", "10", "--train", "20"],
+        ["gen", "--count", "10", "--train", "10"],
+        ["gen", "--scenes", "-1"],
+        ["train", "--batch", "0"],
+        ["train", "--epochs", "-3"],
+        ["train", "--momentum", "1"],
+        ["train", "--momentum", "-0.5"],
+        ["train", "--lr", "-1"],
+        ["train", "--lr", "0"],
+        ["train", "--lr", "nan"],
+        ["train", "--lr", "inf"],
+    ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+    def test_bad_argument_value_is_usage_error(self, tmp_path, capsys, argv):
+        """Rejected by the parser, before any file is read or written."""
+        data = tmp_path / "data"
+        if argv[0] == "gen":
+            argv = argv + ["--out", str(data)]
+        else:
+            generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+            argv = argv + ["--data", str(data), "--out", str(tmp_path / "model.ckpt"),
+                           "--metrics", str(tmp_path / "metrics.csv")]
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 1
+        assert sorted(tmp_path.rglob("*")) == before
+        assert "error: " in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as err:

@@ -511,9 +511,14 @@ class TestCheckpoint:
 class TestParamValidation:
     def test_class_name_count_must_match_output_width(self):
         params = init_params(0)
-        with pytest.raises(ShapeError):
-            init_params(0, class_names=CLASS_NAMES[:5])
         assert params.class_names == CLASS_NAMES
+        tensors = dict(params.tensors())
+        narrow = {
+            "fc3.weights": tensors["fc3.weights"][:5],
+            "fc3.bias": tensors["fc3.bias"][:5],
+        }
+        with pytest.raises(ShapeError, match="5 outputs"):
+            params.replace_tensors({**tensors, **narrow})
 
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from rcc.segment import (
     BinaryMask,
     BoundRect,
     NoObjectError,
-    SegmentationConfig,
     adaptive_threshold,
     detect_bounding_box,
     dilate,
@@ -304,7 +303,7 @@ class TestDetect:
         # edge response is blurred and dilated, so the box brackets the
         # true rect from outside rather than matching it exactly
         img, truth = make_scene()
-        box = detect_bounding_box(img, SegmentationConfig(mode="sobel"))
+        box = detect_bounding_box(img, "sobel")
         assert box.x <= truth.x and box.y <= truth.y
         assert box.x + box.w >= truth.x + truth.w
         assert box.y + box.h >= truth.y + truth.h
@@ -312,22 +311,15 @@ class TestDetect:
         assert (box.x + box.w) - (truth.x + truth.w) <= 6
         assert (box.y + box.h) - (truth.y + truth.h) <= 6
 
-    def test_light_polarity_finds_bright_object(self):
-        pixels = np.full((40, 50, 3), 20, dtype=np.uint8)
-        pixels[10:28, 15:38] = 230
-        box = detect_bounding_box(
-            Image(pixels), SegmentationConfig(polarity="light")
-        )
-        assert abs(box.x - 15) <= 2 and abs(box.y - 10) <= 2
-
     def test_blank_image_raises(self):
         img = Image(np.full((30, 30, 3), 255, dtype=np.uint8))
         with pytest.raises(NoObjectError):
             detect_bounding_box(img)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SegmentationConfig(mode="watershed")
+        img, _ = make_scene()
+        with pytest.raises(ValueError, match="watershed"):
+            detect_bounding_box(img, "watershed")
 
 
 class TestBoundRect:
