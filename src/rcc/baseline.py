@@ -10,17 +10,15 @@ match means "unknown" (returned as None) and scores as incorrect.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .image import Image, rgb_to_hsv
 from .net import CLASS_NAMES
-from .synth import read_csv
+from .synth import read_csv, write_csv
 
 N_CLASSES = len(CLASS_NAMES)
 
@@ -44,8 +42,8 @@ class HsvRange:
     v_min: float
 
     def __post_init__(self):
-        # repr() of the fields must round-trip through CSV, so shed any
-        # numpy scalar types here
+        # hold plain floats, so a range built from ints or numpy scalars is
+        # written to CSV as one built from floats would be (0.0, not 0)
         for name in ("h_min", "h_max", "s_min", "v_min"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0 <= self.h_min < 360:
@@ -136,19 +134,13 @@ def count_hsv_hits(
     )
 
 
-RANGES_COLUMNS = ("class_index", "h_min", "h_max", "s_min", "v_min")
+RANGES_COLUMNS = tuple(f.name for f in fields(HsvRange))
 
 
 def ranges_to_csv(ranges: Sequence[HsvRange]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RANGES_COLUMNS)
-    for r in sorted(ranges, key=lambda r: r.class_index):
-        writer.writerow(
-            [r.class_index, repr(r.h_min), repr(r.h_max),
-             repr(r.s_min), repr(r.v_min)]
-        )
-    return out.getvalue()
+    return write_csv(
+        RANGES_COLUMNS, map(astuple, sorted(ranges, key=lambda r: r.class_index))
+    )
 
 
 def ranges_from_csv(text: str, name: str = "ranges.csv") -> list[HsvRange]:
@@ -157,8 +149,8 @@ def ranges_from_csv(text: str, name: str = "ranges.csv") -> list[HsvRange]:
     ranges: dict[int, HsvRange] = {}
 
     def parse(row: dict) -> None:
-        # the columns are HsvRange's fields, in order
-        r = HsvRange(int(row["class_index"]), *(float(row[c]) for c in RANGES_COLUMNS[1:]))
+        index, *bounds = row.values()
+        r = HsvRange(int(index), *map(float, bounds))
         if not 0 <= r.class_index < N_CLASSES:
             raise ValueError(f"class index {r.class_index} out of range")
         if r.class_index in ranges:

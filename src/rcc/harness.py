@@ -7,10 +7,8 @@ not meaningful, so the per-epoch "val" metrics are computed on the same
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +30,13 @@ from .net import (
 )
 from .rng import Xoshiro256StarStar
 from .segment import BoundRect, detect_bounding_box
-from .synth import IlluminationSpec, SampleManifest, SampleRecord, apply_illumination
+from .synth import (
+    IlluminationSpec,
+    SampleManifest,
+    SampleRecord,
+    apply_illumination,
+    write_csv,
+)
 
 DEFAULT_GAIN_SWEEP = (0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6)
 
@@ -152,19 +156,8 @@ def train(
     return params, metrics
 
 
-METRICS_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
-
-
 def metrics_to_csv(metrics: Sequence[EpochMetrics]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(METRICS_COLUMNS)
-    for m in metrics:
-        writer.writerow(
-            [m.epoch, repr(m.train_loss), repr(m.train_acc),
-             repr(m.val_loss), repr(m.val_acc)]
-        )
-    return out.getvalue()
+    return write_csv([f.name for f in fields(EpochMetrics)], map(astuple, metrics))
 
 
 def evaluate(
@@ -274,9 +267,4 @@ def compare_robustness(
 
 
 def robustness_to_csv(rows: Sequence[RobustnessRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("gain", "cnn_acc", "hsv_acc"))
-    for row in rows:
-        writer.writerow([repr(row.gain), repr(row.cnn_acc), repr(row.hsv_acc)])
-    return out.getvalue()
+    return write_csv([f.name for f in fields(RobustnessRow)], map(astuple, rows))

@@ -631,6 +631,12 @@ def load_checkpoint(data: bytes) -> NetworkParams:
 # ---------------------------------------------------------------------------
 # gradient checking
 
+# The finite-difference step. `gradcheck_batch` wants a batch KINK_SAFETY
+# steps clear of every kink, so its margin holds only for this step.
+GRADCHECK_H = 1e-5
+KINK_SAFETY = 2.0
+KINK_FREE_TRIES = 64
+
 def _kink_margin(params: NetworkParams, xs: np.ndarray) -> float:
     """Distance from the nearest piecewise-linear kink along the forward pass.
 
@@ -659,30 +665,26 @@ def _kink_margin(params: NetworkParams, xs: np.ndarray) -> float:
 
 
 def gradcheck_batch(
-    seed: int,
-    params: NetworkParams,
-    batch: int = 2,
-    h: float = 1e-5,
-    safety: float = 2.0,
-    max_tries: int = 64,
+    seed: int, params: NetworkParams, batch: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic random batch sitting clear of every activation kink.
 
     Draws candidate batches from streams derived off `seed` and takes the
-    first whose kink margin exceeds safety * h, so every finite-difference
-    probe stays inside one linear region of the ReLU/pool network.
+    first whose kink margin exceeds KINK_SAFETY * GRADCHECK_H, so every
+    finite-difference probe stays inside one linear region of the
+    ReLU/pool network.
     """
     n = len(params.class_names)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, KINK_FREE_TRIES + 1):
         rng = Xoshiro256StarStar(derive_stream_seed(seed, attempt))
         xs = rng.doubles(batch * 3 * INPUT_SIZE * INPUT_SIZE).reshape(
             batch, 3, INPUT_SIZE, INPUT_SIZE
         )
         labels = rng.integers_below(n, batch)
-        if _kink_margin(params, xs) > safety * h:
+        if _kink_margin(params, xs) > KINK_SAFETY * GRADCHECK_H:
             return xs, labels
     raise RuntimeError(
-        f"no kink-free batch found in {max_tries} draws for seed {seed}"
+        f"no kink-free batch found in {KINK_FREE_TRIES} draws for seed {seed}"
     )
 
 
@@ -700,7 +702,7 @@ def gradient_check(
     params: NetworkParams,
     xs: np.ndarray,
     labels: np.ndarray,
-    h: float = 1e-5,
+    h: float = GRADCHECK_H,
     tolerance: float = 1e-6,
 ) -> list[GradCheckResult]:
     """Compare every parameter tensor's analytic gradient against central

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -170,6 +170,10 @@ class SampleRecord:
     illuminant_name: str
     seed: int
 
+    def __post_init__(self):
+        if self.split not in ("train", "test"):
+            raise ValueError(f"unknown split {self.split!r}")
+
 
 @dataclass(frozen=True)
 class SceneRecord:
@@ -193,50 +197,39 @@ class SampleManifest:
         names = [r.filename for r in self.records] + [s.filename for s in self.scenes]
         if len(set(names)) != len(names):
             raise ValueError("manifest filenames must be unique")
-        for record in self.records:
-            if record.split not in ("train", "test"):
-                raise ValueError(f"unknown split {record.split!r}")
 
     def split(self, which: str) -> tuple[SampleRecord, ...]:
         return tuple(r for r in self.records if r.split == which)
 
 
-MANIFEST_COLUMNS = (
-    "filename",
-    "class_index",
-    "class_name",
-    "split",
-    "brightness_gain",
-    "illuminant_name",
-    "seed",
-)
+# the manifest's columns are SampleRecord's fields, in order
+MANIFEST_COLUMNS = tuple(f.name for f in fields(SampleRecord))
 
 SCENES_COLUMNS = ("filename", "class_index", "class_name", "x", "y", "w", "h",
                   "illuminant_name")
 
 
-def manifest_to_csv(manifest: SampleManifest) -> str:
+def write_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header `columns`, then one LF-ended line per row.
+
+    Each field is written as its `str()`, which for a float (numpy's
+    included) is the shortest text that reads back as the same value.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(MANIFEST_COLUMNS)
-    for r in manifest.records:
-        writer.writerow(
-            [r.filename, r.class_index, r.class_name, r.split,
-             repr(r.brightness_gain), r.illuminant_name, r.seed]
-        )
+    writer.writerow(columns)
+    writer.writerows([str(value) for value in row] for row in rows)
     return out.getvalue()
+
+
+def manifest_to_csv(manifest: SampleManifest) -> str:
+    return write_csv(MANIFEST_COLUMNS, map(astuple, manifest.records))
 
 
 def scenes_to_csv(scenes: tuple[SceneRecord, ...]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SCENES_COLUMNS)
-    for s in scenes:
-        writer.writerow(
-            [s.filename, s.class_index, s.class_name,
-             s.rect.x, s.rect.y, s.rect.w, s.rect.h, s.illuminant_name]
-        )
-    return out.getvalue()
+    rows = ((s.filename, s.class_index, s.class_name, *astuple(s.rect), s.illuminant_name)
+            for s in scenes)
+    return write_csv(SCENES_COLUMNS, rows)
 
 
 def read_csv(
@@ -277,14 +270,9 @@ def _class_index(row: dict) -> int:
 
 
 def _sample_record(row: dict) -> SampleRecord:
+    filename, _, name, split, gain, illuminant, seed = row.values()
     return SampleRecord(
-        filename=row["filename"],
-        class_index=_class_index(row),
-        class_name=row["class_name"],
-        split=row["split"],
-        brightness_gain=float(row["brightness_gain"]),
-        illuminant_name=row["illuminant_name"],
-        seed=int(row["seed"]),
+        filename, _class_index(row), name, split, float(gain), illuminant, int(seed)
     )
 
 
@@ -302,14 +290,24 @@ def read_manifest(data_dir: str | Path) -> SampleManifest:
     """Load manifest.csv (and scenes.csv when present) from a dataset dir.
 
     Raises ValueError on unexpected columns, a row with missing, extra or
-    malformed fields, a class index outside the class table, or a class
-    name that does not match its index; a row's error names its line.
+    malformed fields, a class index outside the class table, a class name
+    that does not match its index, an unknown split, or a filename already
+    listed in either file; a row's error names its file and line.
     """
     data_dir = Path(data_dir)
+    first_seen: dict[str, str] = {}
 
     def rows(name, columns, parse):
         text = (data_dir / name).read_text(encoding="utf-8")
-        return tuple(row for _, row in read_csv(text, columns, name, parse))
+        parsed = read_csv(text, columns, name, parse)
+        for line, row in parsed:
+            where = f"{name} line {line}"
+            if row.filename in first_seen:
+                raise ValueError(
+                    f"{where}: filename {row.filename!r} repeats {first_seen[row.filename]}"
+                )
+            first_seen[row.filename] = where
+        return tuple(row for _, row in parsed)
 
     records = rows("manifest.csv", MANIFEST_COLUMNS, _sample_record)
     scenes: tuple[SceneRecord, ...] = ()

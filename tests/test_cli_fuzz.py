@@ -1,9 +1,10 @@
-"""The exit-code contract under corrupt CSV inputs.
+"""The exit-code contract under corrupt inputs.
 
 Each example breaks one of `manifest.csv`, `scenes.csv` and `ranges.csv`
-in a small dataset, then runs `eval`, `baseline` and `compare` on it.
-Whatever the damage, each command must return an exit code in 0-4 and
-raise nothing.
+in a small dataset, then runs `eval`, `baseline` and `compare` on it; or
+it cuts the checkpoint or a scene PPM short, or flips one of its bits,
+then runs `eval` and `detect` on it. Whatever the damage, each command
+must return an exit code in 0-4 and raise nothing.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from rcc import cli
 from rcc.net import init_params, save_checkpoint
+from rcc.segment import MODES
 from rcc.synth import generate_dataset
 
 CSV_FILES = ("manifest.csv", "scenes.csv", "ranges.csv")
@@ -55,6 +57,21 @@ def mutate(draw, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def damage(draw, data: bytes) -> bytes:
+    """`data` cut short at a drawn offset, or with one bit flipped there;
+    about half the offsets fall in the first 64 bytes, where the headers are."""
+    i = draw(st.integers(0, min(63, len(data) - 1)) | st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        return data[:i]
+    return data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1 :]
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_corrupt_csv_exits_with_a_contract_code(dataset, data):
@@ -71,9 +88,28 @@ def test_corrupt_csv_exits_with_a_contract_code(dataset, data):
     )
     try:
         for argv in commands:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv)
+            code = run_quietly(argv)
             assert code in range(5), (argv[0], code)
     finally:
         file.write_text(texts[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_corrupt_checkpoint_or_scene_exits_with_a_contract_code(dataset, data):
+    path, _ = dataset
+    file = path / data.draw(st.sampled_from(("model.ckpt", "scene_00.ppm")))
+    pristine = file.read_bytes()
+    file.write_bytes(damage(data.draw, pristine))
+    model = ["--model", str(path / "model.ckpt")]
+    commands = (
+        ["eval", "--data", str(path), *model, "--report", str(path / "report.json")],
+        *(["detect", "--image", str(path / "scene_00.ppm"), *model, "--json",
+           "--segmenter", mode] for mode in MODES),
+    )
+    try:
+        for argv in commands:
+            code = run_quietly(argv)
+            assert code in range(5), (argv[0], code)
+    finally:
+        file.write_bytes(pristine)

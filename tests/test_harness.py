@@ -437,6 +437,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert "manifest.csv line 4: could not convert string to float: 'abc'" in err
 
+    def test_unknown_split_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        manifest = data / "manifest.csv"
+        manifest.write_text(
+            "\n".join(_set_field(manifest.read_text().splitlines(), 4, 3, "9")) + "\n"
+        )
+        code = cli.main(
+            ["baseline", "--data", str(data), "--ranges", str(tmp_path / "r.csv"),
+             "--calibrate"]
+        )
+        assert code == 3
+        assert "manifest.csv line 4: unknown split '9'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("csv_name, edit, message", [
+        ("manifest.csv", lambda lines: lines + [lines[1]],
+         "manifest.csv line 14: filename 'patch_0000.ppm' repeats manifest.csv line 2"),
+        ("scenes.csv", lambda lines: _set_field(lines, 2, 0, "patch_0000.ppm"),
+         "scenes.csv line 2: filename 'patch_0000.ppm' repeats manifest.csv line 2"),
+    ], ids=["manifest", "scenes"])
+    def test_repeated_filename_names_both_lines(
+        self, tmp_path, capsys, csv_name, edit, message
+    ):
+        data = tmp_path / "data"
+        model = tmp_path / "model.ckpt"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=1)
+        model.write_bytes(save_checkpoint(init_params(0)))
+        path = data / csv_name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code = cli.main(
+            ["eval", "--data", str(data), "--model", str(model),
+             "--report", str(tmp_path / "report.json")]
+        )
+        assert code == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--count", "0"],
         ["gen", "--count", "10", "--train", "20"],

@@ -51,6 +51,19 @@ def test_no_module_imports_another_modules_private_names():
     assert violations == {}
 
 
+def test_only_synth_imports_csv():
+    """One module knows the CSV dialect: the others read and write tables
+    through `synth.read_csv` and `synth.write_csv`."""
+    importers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        modules = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        modules |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+        if "csv" in modules:
+            importers.append(path.name)
+    assert importers == ["synth.py"]
+
+
 def test_checker_flags_private_imports(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text(

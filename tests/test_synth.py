@@ -146,13 +146,24 @@ class TestManifest:
             SampleManifest(records=(record, record))
 
     def test_unknown_split_rejected(self):
-        record = SampleRecord("a.ppm", 0, "red", "val", 0.5, "identity", 1)
-        with pytest.raises(ValueError):
-            SampleManifest(records=(record,))
+        with pytest.raises(ValueError, match="unknown split 'val'"):
+            SampleRecord("a.ppm", 0, "red", "val", 0.5, "identity", 1)
 
     def test_csv_header(self):
         text = manifest_to_csv(SampleManifest(records=()))
         assert text == "filename,class_index,class_name,split,brightness_gain,illuminant_name,seed\n"
+        # each field is written as the repr of its Python value, numpy's too
+        gains = (0.1 + 0.2, 5e-324, -0.0, 1e16, np.float64(1 / 3))
+        records = tuple(
+            SampleRecord(f"{i}.ppm", 0, "red", "test", gain, "identity", 2**64 - 1)
+            for i, gain in enumerate(gains)
+        )
+        lines = manifest_to_csv(SampleManifest(records=records)).split("\n")
+        assert lines[1:] == [
+            ",".join((f"{i}.ppm", "0", "red", "test", repr(float(gain)), "identity",
+                      repr(2**64 - 1)))
+            for i, gain in enumerate(gains)
+        ] + [""]
 
 
 class TestGenerateDataset:
