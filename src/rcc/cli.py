@@ -146,6 +146,8 @@ def cmd_baseline(args) -> int:
     if not manifest.split("test"):
         raise ValueError("manifest has no test split")
     if args.calibrate:
+        if not manifest.split("train"):
+            raise ValueError("manifest has no train split")
         images, labels = harness.load_patches(manifest.split("train"), args.data)
         ranges = baseline_mod.calibrate_ranges(
             list(zip(images, labels.tolist()))

@@ -157,6 +157,7 @@ LAYER_TABLE = (
     ("fc3", FcLayerParams, (len(CLASS_NAMES), 32)),
 )
 LAYER_NAMES = tuple(name for name, _, _ in LAYER_TABLE)
+_CONV_LAYERS = sum(kind is ConvLayerParams for _, kind, _ in LAYER_TABLE)
 Layer = ConvLayerParams | FcLayerParams
 
 
@@ -213,9 +214,14 @@ class NetworkParams:
 # and 200.
 _CONV_CHUNK_BYTES = 256 * 1024
 
+# Samples per block of an eval-only pass through the conv stages, whose
+# outputs then stay in cache; 8 to 32 ran equally fast at batch 200.
+_EVAL_BLOCK = 16
 
-def _conv_batch(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, pad: int):
-    """Sum over taps (km, kn), in row-major order, of one K=in_ch GEMM each.
+
+def _tap_sum(x, filters, pad, bias=None, reverse=False):
+    """Sum over taps (km, kn), in row-major order or its `reverse`, of one
+    K=in_ch GEMM each, plus `bias` if given; `pad` is (rows, columns).
 
     The input is padded once, with a spare zero row below, so each tap's
     window is one flat run of h_out rows of the padded width `wp` that BLAS
@@ -226,37 +232,50 @@ def _conv_batch(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, pad: int):
     out_ch, in_ch, m, n = filters.shape
     if in_ch != c:
         raise ShapeError(f"conv expects {in_ch} channels, input has {c}")
-    h_out = h + 2 * pad - m + 1
-    w_out = w + 2 * pad - n + 1
+    ph, pw = pad
+    h_out = h + 2 * ph - m + 1
+    w_out = w + 2 * pw - n + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {m}x{n} does not fit input {h}x{w} with pad {pad}")
-    wp = w + 2 * pad
-    xp = np.zeros((b, c, h + 2 * pad + 1, wp))
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    flat = xp.reshape(b, c, -1)
+    wp = w + 2 * pw
+    xp = np.zeros((b, c, h + 2 * ph + 1, wp))
+    xp[:, :, ph : ph + h, pw : pw + w] = x
+    flat = xp.reshape(b, c, (h + 2 * ph + 1) * wp)
     span = h_out * wp
     y = np.empty((b, out_ch, span))
     chunk = max(1, _CONV_CHUNK_BYTES // (8 * out_ch * span))
     product = np.empty((min(chunk, b), out_ch, span))
+    taps = list(np.ndindex(m, n))[:: -1 if reverse else 1]
     for start in range(0, b, chunk):
         acc = y[start : start + chunk]
         part = product[: len(acc)]
         # the first tap is stored, not added to zeros: the two differ only in
-        # the sign of an all-zero sum, which adding a bias other than -0.0 clears
-        for tap, (km, kn) in enumerate(np.ndindex(m, n)):
+        # the sign of an all-zero sum, which a bias other than -0.0 clears
+        for i, (km, kn) in enumerate(taps):
             offset = km * wp + kn
             window = flat[start : start + chunk, :, offset : offset + span]
-            if tap == 0:
+            if i == 0:
                 np.matmul(filters[:, :, km, kn], window, out=acc)
             else:
                 np.matmul(filters[:, :, km, kn], window, out=part)
                 acc += part
-        acc += bias[:, None]
+        if bias is not None:
+            acc += bias[:, None]
     return y.reshape(b, out_ch, h_out, wp)[..., :w_out]
 
 
+def _conv_batch(x: np.ndarray, filters: np.ndarray, bias: np.ndarray, pad: int):
+    """Cross-correlation with the same `pad` on every side, plus bias."""
+    return _tap_sum(x, filters, (pad, pad), bias)
+
+
 def _conv_backward_batch(dy, x, filters, pad, input_grad):
-    """(d_filters, d_bias, dx); dx is None when `input_grad` is false."""
+    """(d_filters, d_bias, dx); dx is None when `input_grad` is false.
+
+    dx is the forward's tap loop on dy, padded by m - 1 - pad (or cropped),
+    over the filters flipped with their channel axes swapped.  Padding adds
+    only +0.0 terms, and reversed taps add each pixel's (km, kn) terms in
+    row-major order, as a scatter into dx would."""
     b, c, h, w = x.shape
     out_ch, _, m, n = filters.shape
     h_out, w_out = dy.shape[2], dy.shape[3]
@@ -264,19 +283,17 @@ def _conv_backward_batch(dy, x, filters, pad, input_grad):
     span = h_out * w_out
     dy_flat = dy.reshape(b, out_ch, span)
     d_filters = np.zeros_like(filters)
-    dxp = np.zeros_like(xp) if input_grad else None
-    for km in range(m):
-        for kn in range(n):
-            patch = xp[:, :, km : km + h_out, kn : kn + w_out].reshape(b, c, span)
-            d_filters[:, :, km, kn] = (dy_flat @ patch.transpose(0, 2, 1)).sum(axis=0)
-            if dxp is not None:
-                dxp[:, :, km : km + h_out, kn : kn + w_out] += (
-                    filters[:, :, km, kn].T @ dy_flat
-                ).reshape(b, c, h_out, w_out)
+    for km, kn in np.ndindex(m, n):
+        patch = xp[:, :, km : km + h_out, kn : kn + w_out].reshape(b, c, span)
+        d_filters[:, :, km, kn] = (dy_flat @ patch.transpose(0, 2, 1)).sum(axis=0)
     d_bias = dy.sum(axis=(0, 2, 3))
-    if dxp is not None and pad:
-        dxp = dxp[:, :, pad : pad + h, pad : pad + w]
-    return d_filters, d_bias, dxp
+    if not input_grad:
+        return d_filters, d_bias, None
+    crop_h, crop_w = max(0, pad + 1 - m), max(0, pad + 1 - n)
+    dy = dy[:, :, crop_h : h_out - crop_h, crop_w : w_out - crop_w]
+    flipped = filters[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    pad_back = (m - 1 - pad + crop_h, n - 1 - pad + crop_w)
+    return d_filters, d_bias, _tap_sum(dy, flipped, pad_back, reverse=True)
 
 
 def _pool_views(x: np.ndarray, k: int) -> list[np.ndarray]:
@@ -290,25 +307,24 @@ def _pool_views(x: np.ndarray, k: int) -> list[np.ndarray]:
 
 def _pool_batch(x: np.ndarray, k: int, with_idx: bool = True):
     """Block maxima and, when `with_idx`, each block's first (row-major)
-    maximum position in one byte, which is argmax's pick on finite input."""
+    maximum position, which is argmax's pick on finite input."""
     views = _pool_views(x, k)
     y = views[0].copy()
-    # on a tie np.maximum returns its second operand, so with the running
-    # maximum second a 0.0 / -0.0 tie keeps the earlier value, as argmax does
-    for view in views[1:]:
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(k * k - 1)) if with_idx else None
+    # idx < t here, so the maximum moves it only where view is strictly
+    # greater, and np.maximum keeps y on ties: ties keep the first, +-0.0 too
+    for t, view in enumerate(views[1:], 1):
+        if with_idx:
+            np.maximum(idx, (view > y) * idx.dtype.type(t), out=idx)
         np.maximum(view, y, out=y)
-    if not with_idx:
-        return y, None
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(views) - 1))
-    for t in range(len(views) - 1, -1, -1):
-        np.copyto(idx, t, where=views[t] == y)
     return y, idx
 
 
 def _pool_backward_batch(dy, idx, in_shape, k):
-    dx = np.zeros(in_shape)
+    """dy at each block's winner; the k*k views cover dx, so none is unset."""
+    dx = np.empty(in_shape)
     for t, view in enumerate(_pool_views(dx, k)):
-        np.copyto(view, dy, where=idx == t)
+        np.multiply(dy, idx == t, out=view)
     return dx
 
 
@@ -401,16 +417,25 @@ def _forward(
     start: int = 0,
     override: tuple[np.ndarray, np.ndarray] | None = None,
     cache: list | None = None,
+    stop: int = len(LAYER_TABLE),
 ) -> np.ndarray:
-    """Logits from running layers `start` onward on `x`, their input batch.
+    """Output of layers `start` to `stop` - 1 (the logits, by default) on `x`.
 
     `override` is a (weight, bias) pair used in place of layer `start`'s
     own.  When a `cache` list is given, each layer appends what backward
     needs: its (flattened, for fc) input, its pre-activation and, for
-    conv, the pool argmax, which an eval-only pass does not compute.
+    conv, the pool argmax.  An eval-only pass computes no argmax and runs
+    the conv stages in blocks of _EVAL_BLOCK samples; the fc layers always
+    see the whole batch, since a GEMM's bytes depend on its row count.
     """
     last = len(params.layers) - 1
-    for i in range(start, last + 1):
+    if cache is None and start < _CONV_LAYERS < stop:
+        x = np.concatenate([
+            _forward(params, x[s : s + _EVAL_BLOCK], start, override, stop=_CONV_LAYERS)
+            for s in range(0, max(len(x), 1), _EVAL_BLOCK)
+        ])
+        start, override = _CONV_LAYERS, None
+    for i in range(start, stop):
         layer = params.layers[i][1]
         if override is not None and i == start:
             weight, bias = override
@@ -421,7 +446,7 @@ def _forward(
             a = np.maximum(z, 0.0)
             y, idx = _pool_batch(a, POOL_WINDOW, with_idx=cache is not None)
         else:
-            x = x.reshape(x.shape[0], -1)
+            x = x.reshape(len(x), math.prod(x.shape[1:]))
             z = _fc_batch(x, weight, bias)
             y, idx = (np.maximum(z, 0.0) if i < last else z), None
         if cache is not None:
@@ -445,9 +470,12 @@ def _backward(
         name, layer = params.layers[i]
         x, z, idx = cache[i]
         if isinstance(layer, ConvLayerParams):
-            da = _pool_backward_batch(dy.reshape(idx.shape), idx, z.shape, POOL_WINDOW)
+            # the ReLU mask at pooled size: a block's winner has z > 0 exactly
+            # when its maximum, the next layer's input, is above 0
+            g = dy.reshape(idx.shape) * (cache[i + 1][0].reshape(idx.shape) > 0)
+            da = _pool_backward_batch(g, idx, z.shape, POOL_WINDOW)
             d_weight, d_bias, dy = _conv_backward_batch(
-                da * (z > 0), x, layer.filters, layer.padding, input_grad=i > 0
+                da, x, layer.filters, layer.padding, input_grad=i > 0
             )
         else:
             if i < last:
@@ -651,14 +679,9 @@ def _kink_margin(params: NetworkParams, xs: np.ndarray) -> float:
     for _, z, idx in cache[:-1]:
         margin = min(margin, float(np.abs(z).min()))
         if idx is not None:
-            # running largest and second largest, ties counted twice
-            views = _pool_views(np.maximum(z, 0.0), POOL_WINDOW)
-            top = np.maximum(views[0], views[1])
-            second = np.minimum(views[0], views[1])
-            for view in views[2:]:
-                second = np.maximum(second, np.minimum(top, view))
-                top = np.maximum(top, view)
-            gaps = (top - second)[top > 0]
+            # each block's largest and second largest, ties counted twice
+            top = np.sort(_pool_views(np.maximum(z, 0.0), POOL_WINDOW), axis=0)[-2:]
+            gaps = (top[1] - top[0])[top[1] > 0]
             if gaps.size:
                 margin = min(margin, float(gaps.min()))
     return margin

@@ -4,7 +4,8 @@ Each example breaks one of `manifest.csv`, `scenes.csv` and `ranges.csv`
 in a small dataset, then runs `eval`, `baseline` and `compare` on it; or
 it cuts the checkpoint or a scene PPM short, or flips one of its bits,
 then runs `eval` and `detect` on it. Whatever the damage, each command
-must return an exit code in 0-4 and raise nothing.
+must return an exit code in 0-4 and raise nothing.  A manifest with an
+empty split gets the exit code pinned for each command.
 """
 
 import contextlib
@@ -113,3 +114,38 @@ def test_corrupt_checkpoint_or_scene_exits_with_a_contract_code(dataset, data):
             assert code in range(5), (argv[0], code)
     finally:
         file.write_bytes(pristine)
+
+
+# manifest rows kept -> the code of each command: 3 when a split it needs
+# is missing, else 0
+EMPTY_SPLIT_CODES = {
+    "train": {"train": 3, "eval": 3, "baseline": 3, "calibrate": 3, "compare": 3},
+    "test": {"train": 3, "eval": 0, "baseline": 0, "calibrate": 3, "compare": 0},
+    "none": {"train": 3, "eval": 3, "baseline": 3, "calibrate": 3, "compare": 3},
+}
+
+
+@pytest.mark.parametrize("kept", list(EMPTY_SPLIT_CODES))
+def test_empty_split_exits_with_the_pinned_code(dataset, tmp_path, kept):
+    path, texts = dataset
+    header, *rows = texts["manifest.csv"].splitlines()
+    rows = [row for row in rows if row.split(",")[3] == kept]
+    model = ["--model", str(path / "model.ckpt")]
+    ranges = ["--ranges", str(path / "ranges.csv")]
+    commands = {
+        "train": ["train", "--data", str(path), "--out", str(tmp_path / "t.ckpt"),
+                  "--metrics", str(tmp_path / "m.csv"), "--epochs", "1"],
+        "eval": ["eval", "--data", str(path), *model,
+                 "--report", str(tmp_path / "report.json")],
+        "baseline": ["baseline", "--data", str(path), *ranges],
+        "calibrate": ["baseline", "--data", str(path), "--calibrate",
+                      "--ranges", str(tmp_path / "ranges.csv")],
+        "compare": ["compare", "--data", str(path), *model, *ranges,
+                    "--out", str(tmp_path / "sweep.csv")],
+    }
+    (path / "manifest.csv").write_text("\n".join([header, *rows]) + "\n")
+    try:
+        codes = {name: run_quietly(argv) for name, argv in commands.items()}
+    finally:
+        (path / "manifest.csv").write_text(texts["manifest.csv"])
+    assert codes == EMPTY_SPLIT_CODES[kept]

@@ -345,7 +345,7 @@ class TestCli:
              "--calibrate"]
         )
         assert code == 3
-        assert "no samples" in capsys.readouterr().err
+        assert "manifest has no train split" in capsys.readouterr().err
 
     def test_out_of_range_class_index_is_io_error(self, tmp_path, capsys):
         """Also covers a manifest row cut short: both exit 3, no traceback."""

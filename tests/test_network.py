@@ -66,8 +66,9 @@ def naive_conv(x, filters, bias, pad):
     return y
 
 
-# The per-tap-copy conv and argmax pooling that the copy-free primitives in
-# rcc.net replaced.  They define the bytes those primitives must produce.
+# The per-tap-copy conv, the scatter-form conv backward and the argmax
+# pooling that the copy-free primitives in rcc.net replaced.  They define
+# the bytes those primitives must produce.
 
 def oracle_conv_batch(x, filters, bias, pad):
     b, c, h, w = x.shape
@@ -83,6 +84,29 @@ def oracle_conv_batch(x, filters, bias, pad):
             y += filters[:, :, km, kn] @ patch
     y += bias[None, :, None]
     return y.reshape(b, out_ch, h_out, w_out)
+
+
+def oracle_conv_backward_batch(dy, x, filters, pad, input_grad):
+    b, c, h, w = x.shape
+    out_ch, _, m, n = filters.shape
+    h_out, w_out = dy.shape[2], dy.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    span = h_out * w_out
+    dy_flat = dy.reshape(b, out_ch, span)
+    d_filters = np.zeros_like(filters)
+    dxp = np.zeros_like(xp) if input_grad else None
+    for km in range(m):
+        for kn in range(n):
+            patch = xp[:, :, km : km + h_out, kn : kn + w_out].reshape(b, c, span)
+            d_filters[:, :, km, kn] = (dy_flat @ patch.transpose(0, 2, 1)).sum(axis=0)
+            if dxp is not None:
+                dxp[:, :, km : km + h_out, kn : kn + w_out] += (
+                    filters[:, :, km, kn].T @ dy_flat
+                ).reshape(b, c, h_out, w_out)
+    d_bias = dy.sum(axis=(0, 2, 3))
+    if dxp is not None and pad:
+        dxp = dxp[:, :, pad : pad + h, pad : pad + w]
+    return d_filters, d_bias, dxp
 
 
 def _oracle_pool_blocks(x, k):
@@ -178,15 +202,74 @@ class TestPrimitivesMatchOracles:
             oracle_pool_backward_batch(dy, want_idx, x.shape, net.POOL_WINDOW),
         )
 
-    def test_logits_equal_the_cached_forward_pass(self):
+    @pytest.mark.parametrize("weight_shape, in_shape, batch", LAYER_CASES)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=KINDS)
+    def test_conv_backward(self, weight_shape, in_shape, batch, seed, kind):
+        rng = np.random.default_rng(seed)
+        x = _draw(rng, (batch,) + in_shape, kind)
+        filters = _draw(rng, weight_shape, kind)
+        dy = _draw(rng, (batch, weight_shape[0]) + in_shape[1:], kind)
+        got = net._conv_backward_batch(dy, x, filters, 1, input_grad=True)
+        want = oracle_conv_backward_batch(dy, x, filters, 1, input_grad=True)
+        for name, a, b in zip(("d_filters", "d_bias", "dx"), got, want):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize(
+        "weight_shape, pad",
+        [((4, 3, 5, 1), 2), ((4, 3, 1, 3), 1), ((4, 3, 1, 1), 1), ((4, 3, 2, 3), 0)],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"pad{v}",
+    )
+    def test_conv_backward_other_shapes(self, weight_shape, pad):
+        """Filters that are not square, or narrower than the padding, so the
+        input gradient needs unequal padding or a crop of dy."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 3, 7, 6))
+        filters = rng.standard_normal(weight_shape)
+        dy = rng.standard_normal(net._conv_batch(x, filters, np.zeros(4), pad).shape)
+        got = net._conv_backward_batch(dy, x, filters, pad, input_grad=True)
+        want = oracle_conv_backward_batch(dy, x, filters, pad, input_grad=True)
+        assert got[2].shape == x.shape
+        for name, a, b in zip(("d_filters", "d_bias", "dx"), got, want):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("k", [3, 17])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=KINDS)
+    def test_pool_and_pool_backward_wide_windows(self, k, seed, kind):
+        """Windows past 2, and past 16, where the index needs two bytes."""
+        rng = np.random.default_rng(seed)
+        x = _draw(rng, (3, 2, 2 * k, k), kind)
+        y, idx = net._pool_batch(x, k)
+        want_y, want_idx = oracle_pool_batch(x, k)
+        assert idx.dtype == np.min_scalar_type(k * k - 1)
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(idx, want_idx)
+        dy = rng.standard_normal(y.shape)
+        assert np.array_equal(
+            net._pool_backward_batch(dy, idx, x.shape, k),
+            oracle_pool_backward_batch(dy, want_idx, x.shape, k),
+        )
+
+    @pytest.mark.parametrize(
+        "batch",
+        sorted({0, 1, net._EVAL_BLOCK - 1, net._EVAL_BLOCK, net._EVAL_BLOCK + 1, 40, 200}),
+        ids=lambda batch: f"b{batch}",
+    )
+    def test_logits_equal_the_cached_forward_pass(self, batch):
+        """The eval-only pass runs the conv stages in blocks; the bytes are
+        those of one cached pass over the whole batch, at every block edge."""
         params = init_params(0)
-        xs = Xoshiro256StarStar(203).doubles(40 * 3 * 32 * 32).reshape(40, 3, 32, 32)
+        rng = Xoshiro256StarStar(203)
+        xs = rng.doubles(batch * 3 * 32 * 32).reshape(batch, 3, 32, 32)
         cached = net._forward(params, xs, cache=[])
-        assert net.logits(xs, params).tobytes() == cached.tobytes()
+        out = net.logits(xs, params)
+        assert out.shape == (batch, len(CLASS_NAMES))
+        assert out.tobytes() == cached.tobytes()
 
 
 # Trains two steps and takes batch-200 logits with the program, then with the
-# oracles patched in; prints both digests.
+# four oracles patched in; prints both digests.
 _KERNEL_SCRIPT = """
 import hashlib, importlib.util, sys
 from rcc import net
@@ -216,6 +299,7 @@ program = digest()
 net._conv_batch = oracles.oracle_conv_batch
 net._pool_batch = oracles.oracle_pool_batch
 net._pool_backward_batch = oracles.oracle_pool_backward_batch
+net._conv_backward_batch = oracles.oracle_conv_backward_batch
 print(program, digest())
 """
 
