@@ -61,7 +61,7 @@ def resize_nearest(img: Image, new_w: int, new_h: int) -> Image:
         ((np.arange(new_h) + 0.5) * img.height / new_h).astype(np.int64),
         img.height - 1,
     )
-    return Image(img.pixels[rows[:, None], cols[None, :]])
+    return Image(img.pixels.take(rows, axis=0).take(cols, axis=1))
 
 
 def cube_centers(width: int, height: int) -> tuple[tuple[int, int], ...]:

@@ -162,14 +162,31 @@ def read_ppm(data: bytes) -> Image:
     return Image(pixels)
 
 
+# Rows per band of the pixel front end (gray here, blur and threshold in
+# segment): each band's buffers stay in L2 instead of streaming
+# whole-image temporaries through memory once per tap.
+BAND_ROWS = 64
+
+
 def rgb_to_gray(img: Image) -> GrayImage:
-    """BT.601 luma: gray = round(0.299 r + 0.587 g + 0.114 b)."""
+    """BT.601 luma: gray = round(0.299 r + 0.587 g + 0.114 b).
+
+    Runs over bands of BAND_ROWS rows; every pixel sees the same products
+    and adds, in the same order, as a whole-image pass.
+    """
     px = img.pixels
-    luma = 0.299 * px[:, :, 0].astype(np.float64)
-    luma += 0.587 * px[:, :, 1]
-    luma += 0.114 * px[:, :, 2]
-    luma += 0.5  # luma lies in [0, 255]: rounding half away is floor(luma + 0.5)
-    return GrayImage(np.floor(luma, out=luma).astype(np.uint8))
+    gray = np.empty(px.shape[:2], dtype=np.uint8)
+    luma = np.empty((min(BAND_ROWS, img.height), img.width))
+    term = np.empty_like(luma)
+    for top in range(0, img.height, BAND_ROWS):
+        rows = px[top : top + BAND_ROWS]
+        acc, tmp = luma[: len(rows)], term[: len(rows)]
+        np.multiply(rows[:, :, 0], 0.299, out=acc)
+        acc += np.multiply(rows[:, :, 1], 0.587, out=tmp)
+        acc += np.multiply(rows[:, :, 2], 0.114, out=tmp)
+        acc += 0.5  # luma lies in [0, 255]: rounding half away is floor(luma + 0.5)
+        gray[top : top + len(rows)] = np.floor(acc, out=acc)
+    return GrayImage(gray)
 
 
 def rgb_to_hsv(r: float, g: float, b: float) -> HsvPixel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, Image, rgb_to_gray, round_half_away
+from .image import BAND_ROWS, GrayImage, Image, rgb_to_gray
 
 
 class NoObjectError(Exception):
@@ -70,68 +70,104 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _replicate_pad_1d(values: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    return np.pad(values, pad, mode="edge")
-
-
 def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
-    """Separable Gaussian blur, replicate borders, rounded once at the end."""
+    """Separable Gaussian blur, replicate borders, rounded once at the end.
+
+    The horizontal pass runs first, then the vertical, each adding its taps
+    in kernel order.  Output rows go in bands of BAND_ROWS over the gray
+    image padded once by the radius: a band's horizontal pass covers its
+    rows plus the radius in halo rows above and below, since the padded
+    rows of the horizontal pass are the horizontal pass of padded rows.
+    """
     kernel = gaussian_kernel(sigma)
     radius = len(kernel) // 2
-    acc = img.pixels.astype(np.float64)
-    for axis in (1, 0):  # horizontal pass, then vertical
-        padded = _replicate_pad_1d(acc, radius, axis)
-        acc = np.zeros_like(acc)
-        for t, weight in enumerate(kernel):
-            if axis == 1:
-                acc += weight * padded[:, t : t + img.width]
-            else:
-                acc += weight * padded[t : t + img.height, :]
-    return GrayImage(np.clip(round_half_away(acc), 0, 255).astype(np.uint8))
+    h, w = img.height, img.width
+    padded = np.pad(img.pixels, radius, mode="edge")
+    blurred = np.empty((h, w), dtype=np.uint8)
+    band = min(BAND_ROWS, h)
+    horizontal = np.empty((band + 2 * radius, w))
+    vertical = np.empty((band, w))
+    term = np.empty_like(horizontal)
+    for top in range(0, h, BAND_ROWS):
+        n = min(BAND_ROWS, h - top)
+        rows = padded[top : top + n + 2 * radius]
+        # Every product is >= +0.0, so storing the first tap equals adding
+        # it to zeros.
+        acc, tmp = horizontal[: n + 2 * radius], term[: n + 2 * radius]
+        np.multiply(rows[:, :w], kernel[0], out=acc)
+        for t in range(1, len(kernel)):
+            acc += np.multiply(rows[:, t : t + w], kernel[t], out=tmp)
+        out, tmp = vertical[:n], term[:n]
+        np.multiply(acc[:n], kernel[0], out=out)
+        for t in range(1, len(kernel)):
+            out += np.multiply(acc[t : t + n], kernel[t], out=tmp)
+        # out lies in [0, 255] up to rounding, so rounding half away is
+        # floor(out + 0.5) and needs no clamp
+        out += 0.5
+        blurred[top : top + n] = np.floor(out, out=out)
+    return GrayImage(blurred)
 
 
 def adaptive_threshold(img: GrayImage, window: int, c: float) -> BinaryMask:
     """Mark pixels darker than their local window mean minus the offset c.
 
-    The window x window sums, with replicated borders, come from an int64
-    integral image, so each mean is a single exact division; this keeps
-    the fast path bit-identical to a per-pixel oracle.
+    With area = window * window and s the window's sum (replicated
+    borders), the test p < s / area - c runs in int32 as
+    area * (p + c) < s.  For an integral c the two agree even in float64:
+    s / area is an integer or at least 1 / area away from one, far beyond
+    the rounding of s / area - c.  The sums are separable box sums, run
+    over bands of BAND_ROWS rows.
     """
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
-    padded = np.pad(img.pixels.astype(np.int64), window // 2, mode="edge")
-    integral = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
-    integral[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
-    sums = (
-        integral[window:, window:]
-        - integral[:-window, window:]
-        - integral[window:, :-window]
-        + integral[:-window, :-window]
-    )
-    return BinaryMask(img.pixels.astype(np.float64) < sums / float(window * window) - c)
-
-
-_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
-_SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.int64)
+    if window < 3 or window % 2 == 0 or window > 2051:
+        raise ValueError(f"window must be odd and in [3, 2051], got {window}")
+    if not (math.isfinite(c) and c == int(c) and abs(c) <= 255):
+        raise ValueError(f"offset c must be an integer in [-255, 255], got {c}")
+    # area * (p + c) lies in [-255, 510] * area, within int32 for window <= 2051
+    area = window * window
+    radius = window // 2
+    h, w = img.height, img.width
+    padded = np.pad(img.pixels, radius, mode="edge")
+    bits = np.empty((h, w), dtype=bool)
+    band = min(BAND_ROWS, h)
+    column_sums = np.empty((band, w + 2 * radius), dtype=np.int32)
+    window_sums = np.empty((band, w), dtype=np.int32)
+    scaled = np.empty((band, w), dtype=np.int32)
+    for top in range(0, h, BAND_ROWS):
+        n = min(BAND_ROWS, h - top)
+        cols, sums, lhs = column_sums[:n], window_sums[:n], scaled[:n]
+        cols[...] = padded[top : top + n]
+        for k in range(1, window):
+            cols += padded[top + k : top + k + n]
+        sums[...] = cols[:, :w]
+        for k in range(1, window):
+            sums += cols[:, k : k + w]
+        lhs[...] = img.pixels[top : top + n]
+        lhs += int(c)
+        lhs *= area
+        np.less(lhs, sums, out=bits[top : top + n])
+    return BinaryMask(bits)
 
 
 def sobel_magnitude(img: GrayImage) -> GrayImage:
-    """Gradient magnitude from the 3x3 Sobel pair, clamped to [0, 255]."""
+    """Gradient magnitude from the 3x3 Sobel pair, clamped to [0, 255].
+
+    Each Sobel kernel is [1, 2, 1] smoothing across its axis times a
+    [-1, 0, 1] difference along it, so both gradients run separably in
+    exact int32.
+    """
     if img.width < 3 or img.height < 3:
         raise ValueError(f"image {img.width}x{img.height} is smaller than 3x3")
-    padded = np.pad(img.pixels.astype(np.int64), 1, mode="edge")
-    h, w = img.height, img.width
-    gx = np.zeros((h, w), dtype=np.int64)
-    gy = np.zeros((h, w), dtype=np.int64)
-    for m in range(3):
-        for n in range(3):
-            patch = padded[m : m + h, n : n + w]
-            gx += _SOBEL_X[m, n] * patch
-            gy += _SOBEL_Y[m, n] * patch
-    mag = np.sqrt(gx.astype(np.float64) ** 2 + gy.astype(np.float64) ** 2)
-    return GrayImage(np.clip(round_half_away(mag), 0, 255).astype(np.uint8))
+    padded = np.pad(img.pixels, 1, mode="edge").astype(np.int32)
+    down = padded[:-2] + 2 * padded[1:-1] + padded[2:]
+    gx = down[:, 2:] - down[:, :-2]
+    across = padded[:, :-2] + 2 * padded[:, 1:-1] + padded[:, 2:]
+    gy = across[2:] - across[:-2]
+    gx *= gx
+    gx += gy * gy
+    mag = np.sqrt(gx, dtype=np.float64)
+    mag += 0.5  # mag >= 0: rounding half away is floor(mag + 0.5)
+    np.floor(mag, out=mag)
+    return GrayImage(np.minimum(mag, 255, out=mag).astype(np.uint8))
 
 
 def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:

@@ -11,7 +11,11 @@ weight draw order and checkpoint format v1, with no BLAS involved.
 
 `DETECT_BOXES` pins `detect_bounding_box` in both segmenter modes on the
 24 scenes of `generate_dataset(seed=0)`, then on the 640x480 scene, as
-(x, y, w, h).
+(x, y, w, h).  A changed mask can still give the same boxes, so
+`FRONT_END_SHA256` pins the arrays that `detect_bounding_box` hands from
+stage to stage on the same 25 images: per mode and stage, the SHA-256 of
+the stage outputs' bytes, concatenated in scene order.  They were recorded
+from the whole-image front end that the banded one replaced.
 """
 
 import dataclasses
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from rcc import segment
 from rcc.image import read_ppm, write_ppm
 from rcc.net import init_params, save_checkpoint
 from rcc.segment import BoundRect, detect_bounding_box
@@ -50,6 +55,20 @@ DETECT_BOXES = {
         (5, 31, 35, 54), (10, 1, 57, 36), (75, 48, 50, 36), (3, 15, 35, 49),
         (196, 146, 248, 188),
     ],
+}
+
+FRONT_END_SHA256 = {
+    "adaptive": {
+        "rgb_to_gray": "a143de315d6096ca2f8a481e5fa206f08276eeb38dd98a07a7c36978c3ba02d6",
+        "gaussian_blur": "1d1f8d721aeb48dbd010c46c22fdb96360956c01092124ef03359137eb6278de",
+        "adaptive_threshold": "cfb47d17c4153ef83c9c8a3d19f566c79bc6c985974a37bc4930096aafd838b5",
+    },
+    "sobel": {
+        "rgb_to_gray": "a143de315d6096ca2f8a481e5fa206f08276eeb38dd98a07a7c36978c3ba02d6",
+        "gaussian_blur": "1d1f8d721aeb48dbd010c46c22fdb96360956c01092124ef03359137eb6278de",
+        "sobel_magnitude": "1154f9f8b99f2d7fba7d3ef37fdc125b3c2557e41c7d3ffc04ad588b81de3916",
+        "dilate": "f7bef86619e8ff867f56bb13a4df10b3ddeedd14f13a3d293542306f681c928f",
+    },
 }
 
 
@@ -89,6 +108,27 @@ def test_detect_boxes_match_golden(seed0, mode):
         for n in names
     ]
     assert boxes == DETECT_BOXES[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(FRONT_END_SHA256))
+def test_front_end_arrays_match_golden(seed0, monkeypatch, mode):
+    path, manifest = seed0
+    names = [s.filename for s in manifest.scenes] + ["render_scene_640x480.ppm"]
+    digests = {stage: hashlib.sha256() for stage in FRONT_END_SHA256[mode]}
+
+    def recorded(stage, fn):
+        def call(*args):
+            out = fn(*args)
+            array = out.bits if isinstance(out, segment.BinaryMask) else out.pixels
+            digests[stage].update(array.tobytes())
+            return out
+        return call
+
+    for stage in digests:
+        monkeypatch.setattr(segment, stage, recorded(stage, getattr(segment, stage)))
+    for n in names:
+        detect_bounding_box(read_ppm((path / n).read_bytes()), mode)
+    assert {k: d.hexdigest() for k, d in digests.items()} == FRONT_END_SHA256[mode]
 
 
 @pytest.mark.parametrize("seed", sorted(INIT_CHECKPOINT_SHA256))

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rcc import segment
-from rcc.image import GrayImage, Image, round_half_away
+from rcc.image import BAND_ROWS, GrayImage, Image, rgb_to_gray, round_half_away
 from rcc.rng import Xoshiro256StarStar
 from rcc.segment import (
+    BLUR_SIGMA,
     BinaryMask,
     BoundRect,
     NoObjectError,
@@ -68,6 +70,124 @@ def naive_sobel(img: GrayImage) -> np.ndarray:
             mag = math.sqrt(gx * gx + gy * gy)
             out[y, x] = int(min(round_half_away(mag), 255))
     return out
+
+
+# The whole-image gray, blur, threshold and Sobel that the banded and
+# separable front end replaced.  They define the bytes it must produce.
+
+def oracle_rgb_to_gray(img):
+    px = img.pixels
+    luma = 0.299 * px[:, :, 0].astype(np.float64)
+    luma += 0.587 * px[:, :, 1]
+    luma += 0.114 * px[:, :, 2]
+    luma += 0.5
+    return GrayImage(np.floor(luma, out=luma).astype(np.uint8))
+
+
+def oracle_gaussian_blur(img, sigma):
+    kernel = gaussian_kernel(sigma)
+    radius = len(kernel) // 2
+    acc = img.pixels.astype(np.float64)
+    for axis in (1, 0):  # horizontal pass, then vertical
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.pad(acc, pad, mode="edge")
+        acc = np.zeros_like(acc)
+        for t, weight in enumerate(kernel):
+            if axis == 1:
+                acc += weight * padded[:, t : t + img.width]
+            else:
+                acc += weight * padded[t : t + img.height, :]
+    return GrayImage(np.clip(round_half_away(acc), 0, 255).astype(np.uint8))
+
+
+def oracle_adaptive_threshold(img, window, c):
+    padded = np.pad(img.pixels.astype(np.int64), window // 2, mode="edge")
+    integral = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
+    integral[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
+    sums = (
+        integral[window:, window:]
+        - integral[:-window, window:]
+        - integral[window:, :-window]
+        + integral[:-window, :-window]
+    )
+    return BinaryMask(img.pixels.astype(np.float64) < sums / float(window * window) - c)
+
+
+def oracle_sobel_magnitude(img):
+    sobel_x = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
+    sobel_y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.int64)
+    padded = np.pad(img.pixels.astype(np.int64), 1, mode="edge")
+    h, w = img.height, img.width
+    gx = np.zeros((h, w), dtype=np.int64)
+    gy = np.zeros((h, w), dtype=np.int64)
+    for m in range(3):
+        for n in range(3):
+            patch = padded[m : m + h, n : n + w]
+            gx += sobel_x[m, n] * patch
+            gy += sobel_y[m, n] * patch
+    mag = np.sqrt(gx.astype(np.float64) ** 2 + gy.astype(np.float64) ** 2)
+    return GrayImage(np.clip(round_half_away(mag), 0, 255).astype(np.uint8))
+
+
+# Heights around the band edges, and widths up to just past the blur radius,
+# where the edge padding is most of each row.
+BAND_HEIGHTS = (1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 3)
+BLUR_RADIUS = len(gaussian_kernel(BLUR_SIGMA)) // 2
+
+
+@st.composite
+def pixel_arrays(draw, channels=(), min_side=1, max_width=BLUR_RADIUS + 2):
+    """Constant, uniform random or 0/255 pixels at a band-edge height."""
+    h = draw(st.sampled_from([t for t in BAND_HEIGHTS if t >= min_side]))
+    shape = (h, draw(st.integers(min_side, max_width))) + channels
+    kind = draw(st.sampled_from(("constant", "random", "extremes")))
+    if kind == "constant":
+        return np.full(shape, draw(st.integers(0, 255)), dtype=np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+    return rng.choice(np.array([0, 255], dtype=np.uint8), shape)
+
+
+class TestFrontEndOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(pixel_arrays(channels=(3,)))
+    def test_gray_matches_oracle(self, px):
+        img = Image(px)
+        assert np.array_equal(rgb_to_gray(img).pixels, oracle_rgb_to_gray(img).pixels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pixel_arrays(), st.sampled_from((0.8, BLUR_SIGMA, 2.3)))
+    def test_blur_matches_oracle(self, px, sigma):
+        img = GrayImage(px)
+        want = oracle_gaussian_blur(img, sigma).pixels
+        assert np.array_equal(gaussian_blur(img, sigma).pixels, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from((3, 5, 11, 15)), st.integers(0, 3))
+    def test_threshold_matches_oracle(self, data, window, c):
+        img = GrayImage(data.draw(pixel_arrays(max_width=window // 2 + 2)))
+        want = oracle_adaptive_threshold(img, window, float(c)).bits
+        assert np.array_equal(adaptive_threshold(img, window, float(c)).bits, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pixel_arrays(min_side=3))
+    def test_sobel_matches_oracle(self, px):
+        img = GrayImage(px)
+        assert np.array_equal(sobel_magnitude(img).pixels, oracle_sobel_magnitude(img).pixels)
+
+    def test_wide_scene_matches_oracles(self):
+        img = Image(np.random.default_rng(7).integers(0, 256, (2 * BAND_ROWS + 3, 97, 3),
+                                                      dtype=np.uint8))
+        gray = rgb_to_gray(img)
+        assert np.array_equal(gray.pixels, oracle_rgb_to_gray(img).pixels)
+        blurred = gaussian_blur(gray, BLUR_SIGMA)
+        assert np.array_equal(blurred.pixels, oracle_gaussian_blur(gray, BLUR_SIGMA).pixels)
+        assert np.array_equal(adaptive_threshold(blurred, 11, 2.0).bits,
+                              oracle_adaptive_threshold(blurred, 11, 2.0).bits)
+        assert np.array_equal(sobel_magnitude(blurred).pixels,
+                              oracle_sobel_magnitude(blurred).pixels)
 
 
 def flood_fill_boxes(bits: np.ndarray) -> list[tuple[int, BoundRect]]:
@@ -146,6 +266,27 @@ class TestAdaptiveThreshold:
         img = GrayImage(np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(ValueError):
             adaptive_threshold(img, 4, 2.0)
+
+    @pytest.mark.parametrize("c", [2.5, -0.5, math.nan, math.inf, -math.inf, 256.0])
+    def test_offset_not_an_integer_in_range_rejected(self, c):
+        img = GrayImage(np.zeros((5, 5), dtype=np.uint8))
+        with pytest.raises(ValueError, match="offset"):
+            adaptive_threshold(img, 5, c)
+
+    def test_window_beyond_int32_sums_rejected(self):
+        img = GrayImage(np.zeros((1, 1), dtype=np.uint8))
+        with pytest.raises(ValueError, match="window"):
+            adaptive_threshold(img, 2053, 2.0)
+
+    @pytest.mark.parametrize("window", range(3, 16, 2))
+    def test_integer_compare_equals_float_compare_exhaustively(self, window):
+        """n * (p + c) < s gives the float test p < s / n - c for every
+        pixel p and every window sum s that an n-pixel window can hold."""
+        n = window * window
+        s = np.arange(n * 255 + 1)
+        p = np.arange(256)[:, None]
+        for c in range(4):
+            assert np.array_equal(n * (p + c) < s, p < s / float(n) - c)
 
 
 class TestSobel:
@@ -315,6 +456,27 @@ class TestDetect:
         img = Image(np.full((30, 30, 3), 255, dtype=np.uint8))
         with pytest.raises(NoObjectError):
             detect_bounding_box(img)
+
+    @pytest.mark.parametrize(
+        "mode, stages",
+        [
+            ("adaptive", ["rgb_to_gray", "gaussian_blur", "adaptive_threshold",
+                          "label_components"]),
+            ("sobel", ["rgb_to_gray", "gaussian_blur", "sobel_magnitude", "dilate",
+                       "label_components"]),
+        ],
+    )
+    def test_stages_are_called_through_the_module(self, monkeypatch, mode, stages):
+        """perfbench's tracer times stages by wrapping `rcc.segment`
+        attributes, so a stage reached any other way would time as 0."""
+        called = []
+        for name in stages:
+            def wrapper(*args, _name=name, _fn=getattr(segment, name)):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(segment, name, wrapper)
+        detect_bounding_box(make_scene()[0], mode)
+        assert called == stages
 
     def test_unknown_mode_rejected(self):
         img, _ = make_scene()
