@@ -6,10 +6,11 @@ fully connected layers 512 -> 64 -> 32 -> 6 with ReLU between them and
 softmax cross-entropy on top.  Everything runs in 64-bit floats so the
 finite-difference gradient check can use tight tolerances.
 
-Batched internals use layout (batch, channels, height, width); the
-public per-sample operations wrap them.  Checkpoints are a small binary
-format (magic "RCC1") holding layer kinds, dimensions, and raw
-little-endian float64 tensors; round-trips are bit-exact.
+Every pass takes a whole batch in layout (batch, channels, height,
+width); `conv2d_forward` and `maxpool_forward` are one-sample views of
+the batched conv and pool that tests use as oracles.  Checkpoints are a
+small binary format (magic "RCC1") holding layer kinds, dimensions, and
+raw little-endian float64 tensors; round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping
 
 import numpy as np
 
@@ -340,16 +341,32 @@ def _softmax_batch(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy of a (B, classes) logit batch."""
+def _class_labels(labels, rows: int) -> np.ndarray:
+    """`labels` as int64, or ValueError unless they are one class index per row."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (rows,):
+        raise ValueError(f"expected {rows} labels, got shape {labels.shape}")
+    if ((labels < 0) | (labels >= len(CLASS_NAMES))).any():
+        raise ValueError(f"labels must lie in [0, {len(CLASS_NAMES)})")
+    return labels
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """mean_cross_entropy on labels `_class_labels` has passed."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(len(labels)), labels]
     return float((lse - picked).mean())
 
 
+def mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy of a (B, classes) logit batch; raises
+    ValueError unless `labels` holds one class index per row."""
+    return _cross_entropy(logits, _class_labels(labels, len(logits)))
+
+
 # ---------------------------------------------------------------------------
-# public per-sample operations
+# one-sample oracles and the batch API
 
 def conv2d_forward(x: np.ndarray, p: ConvLayerParams) -> np.ndarray:
     """Cross-correlate one (in_ch, H, W) tensor with the layer's filters."""
@@ -357,11 +374,6 @@ def conv2d_forward(x: np.ndarray, p: ConvLayerParams) -> np.ndarray:
     if x.ndim != 3:
         raise ShapeError(f"expected (channels, H, W), got shape {x.shape}")
     return _conv_batch(x[None], p.filters, p.bias, p.padding)[0]
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
 def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -373,42 +385,18 @@ def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> tuple[np.ndarray, np.ndarr
     return y[0], idx[0]
 
 
-def fc_forward(x: np.ndarray, p: FcLayerParams) -> np.ndarray:
-    """Dense layer W x + b on one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {x.shape}")
-    return _fc_batch(x[None], p.weights, p.bias)[0]
-
-
-def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Stable softmax loss and its gradient for one sample.
-
-    Returns (-ln p[label], p - onehot(label)).
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ShapeError(f"expected a logit vector, got shape {logits.shape}")
-    if not 0 <= label < len(logits):
-        raise ValueError(f"label {label} out of range for {len(logits)} classes")
-    probs = _softmax_batch(logits[None])[0]
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return float(-math.log(probs[label])), grad
-
-
-def image_to_input(cube: Image) -> np.ndarray:
-    """32x32 RGB cube to a (3, 32, 32) float tensor scaled to [0, 1]."""
-    if cube.width != INPUT_SIZE or cube.height != INPUT_SIZE:
-        raise ShapeError(
-            f"expected a {INPUT_SIZE}x{INPUT_SIZE} cube, got {cube.width}x{cube.height}"
-        )
-    return cube.pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
-
-
 def images_to_batch(cubes: Iterable[Image]) -> np.ndarray:
-    """Stack cubes into a (B, 3, 32, 32) input batch."""
-    return np.stack([image_to_input(c) for c in cubes])
+    """Stack 32x32 RGB cubes into a (B, 3, 32, 32) batch scaled to [0, 1]."""
+    cubes = list(cubes)
+    for cube in cubes:
+        if cube.width != INPUT_SIZE or cube.height != INPUT_SIZE:
+            raise ShapeError(
+                f"expected a {INPUT_SIZE}x{INPUT_SIZE} cube, "
+                f"got {cube.width}x{cube.height}"
+            )
+    batch = np.stack([cube.pixels for cube in cubes]).astype(np.float64)
+    batch /= 255.0
+    return batch.transpose(0, 3, 1, 2)
 
 
 def _forward(
@@ -500,11 +488,6 @@ def logits(xs: np.ndarray, params: NetworkParams) -> np.ndarray:
     return out
 
 
-def network_forward(img_cube: Image, params: NetworkParams) -> np.ndarray:
-    """Class probabilities for one 32x32 cube."""
-    return predict_probabilities(image_to_input(img_cube)[None], params)[0]
-
-
 def predict_probabilities(xs: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Class probabilities for a prepared (B, 3, 32, 32) batch; raises
     NumericError like `logits`."""
@@ -514,24 +497,14 @@ def predict_probabilities(xs: np.ndarray, params: NetworkParams) -> np.ndarray:
 def loss_and_gradients(
     xs: np.ndarray, labels: np.ndarray, params: NetworkParams
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy and its gradients on a prepared batch."""
+    """Mean cross-entropy and its gradients on a prepared batch; raises
+    ValueError unless `labels` holds one class index per sample."""
     if len(xs) == 0:
         raise ValueError("batch must be nonempty")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _class_labels(labels, len(xs))
     cache: list = []
     out = _forward(params, xs, cache=cache)
-    return mean_cross_entropy(out, labels), _backward(params, cache, out, labels)
-
-
-def network_backward(
-    batch: Sequence[tuple[Image, int]], params: NetworkParams
-) -> dict[str, np.ndarray]:
-    """Mean gradients over (cube, label) samples, keyed like tensors()."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    xs = images_to_batch([img for img, _ in batch])
-    labels = np.asarray([label for _, label in batch], dtype=np.int64)
-    return loss_and_gradients(xs, labels, params)[1]
+    return _cross_entropy(out, labels), _backward(params, cache, out, labels)
 
 
 def sgd_step(
@@ -734,7 +707,7 @@ def gradient_check(
     The per-tensor relative error is ||a - n|| / (||a|| + ||n||), the
     usual normalized gradient-check metric.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _class_labels(labels, len(xs))
     cache: list = []
     analytic = _backward(params, cache, _forward(params, xs, cache=cache), labels)
 
@@ -751,9 +724,9 @@ def gradient_check(
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + h
-                hi = mean_cross_entropy(_forward(params, x, stage, base), labels)
+                hi = _cross_entropy(_forward(params, x, stage, base), labels)
                 flat[i] = original - h
-                lo = mean_cross_entropy(_forward(params, x, stage, base), labels)
+                lo = _cross_entropy(_forward(params, x, stage, base), labels)
                 flat[i] = original
                 numeric_flat[i] = (hi - lo) / (2.0 * h)
             a = analytic[tensor_name]

@@ -185,8 +185,8 @@ def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:
     padded = np.zeros((h, stride), dtype=np.int8)
     padded[:, 1:-1] = bits
     steps = np.diff(padded, axis=1)
-    rows, starts = np.nonzero(steps == 1)
-    ends = np.nonzero(steps == -1)[1]  # exclusive; row-major, so paired with starts
+    rows, starts = np.divmod(np.flatnonzero(steps == 1), w + 1)
+    ends = np.flatnonzero(steps == -1) % (w + 1)  # exclusive; row-major like starts
     # Run a in the row above touches run b when a.start <= b.end and
     # b.start <= a.end.  Keyed by row * stride + col, the runs touching b are
     # first[b]..stop[b]-1, a range that is empty when none do.

@@ -1,9 +1,10 @@
-"""No module of the package reaches into another module's private names.
+"""Module boundaries inside the package, checked with `ast`.
 
 A `_`-prefixed name is an implementation detail of the module that defines
-it. This walks every `src/rcc/*.py` with `ast` and fails on any import of
-such a name from another module, and on any `module._name` attribute use
-through a module imported by name.
+it. This walks every `src/rcc/*.py` and fails on any import of such a name
+from another module, and on any `module._name` attribute use through a
+module imported by name. It also fails on a public top-level function or
+class that no module of the package uses.
 """
 
 import ast
@@ -62,6 +63,59 @@ def test_only_synth_imports_csv():
         if "csv" in modules:
             importers.append(path.name)
     assert importers == ["synth.py"]
+
+
+# One-sample views of the batched conv and pool that only tests call, as
+# oracles for the acceptance checks.
+ORACLES = {"conv2d_forward", "maxpool_forward"}
+
+
+def _unused_public_names(paths) -> list[str]:
+    """Public top-level functions and classes that no code in `paths` uses.
+
+    A use is a name or attribute read anywhere outside the definition
+    itself; imports and `__all__` strings are not uses.
+    """
+    defined, used = {}, set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if is_def and not node.name.startswith("_"):
+                defined[node.name] = path.name
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if not (is_def and name == node.name):
+                    used.add(name)
+    return sorted(f"{file}: {name}" for name, file in defined.items() if name not in used)
+
+
+def test_every_public_function_and_class_has_a_caller_in_the_package():
+    """No second surface beside the one the pipeline uses: a public function
+    or class that nothing in `src/rcc` calls is dead weight."""
+    unused = _unused_public_names(sorted(PACKAGE_DIR.glob("*.py")))
+    assert [entry for entry in unused if entry.split(": ")[1] not in ORACLES] == []
+
+
+def test_unused_name_checker(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from .net import logits\n"
+        "__all__ = ['orphan']\n"
+        "def orphan():\n"
+        "    return orphan()\n"
+        "def used():\n"
+        "    return logits\n"
+        "class Shape:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    return used(), Shape\n"
+    )
+    assert _unused_public_names([source]) == ["sample.py: orphan"]
 
 
 def test_checker_flags_private_imports(tmp_path):

@@ -25,19 +25,16 @@ from rcc.net import (
     PoolSpec,
     ShapeError,
     conv2d_forward,
-    fc_forward,
     gradcheck_batch,
-    image_to_input,
+    images_to_batch,
     init_params,
     load_checkpoint,
     loss_and_gradients,
     maxpool_forward,
-    network_backward,
-    network_forward,
-    relu,
+    mean_cross_entropy,
+    predict_probabilities,
     save_checkpoint,
     sgd_step,
-    softmax_cross_entropy,
 )
 from rcc.rng import Xoshiro256StarStar
 
@@ -403,38 +400,57 @@ class TestPool:
             maxpool_forward(np.zeros((1, 5, 4)), PoolSpec(2))
 
 
-class TestFcAndLoss:
-    def test_fc_hand_case(self):
-        p = FcLayerParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0]))
-        assert fc_forward(np.array([1.0, 1.0]), p).tolist() == [3.0, 8.0]
+def _random_inputs(batch, seed=205):
+    rng = Xoshiro256StarStar(seed)
+    return rng.doubles(batch * 3 * 32 * 32).reshape(batch, 3, 32, 32)
 
-    def test_relu_clamps_negatives(self):
-        assert relu(np.array([-2.0, 0.0, 3.0])).tolist() == [0.0, 0.0, 3.0]
+
+class TestFcAndLoss:
+    """The loss and the fc3 gradient through the batch API; the fc and ReLU
+    arithmetic is pinned by test_logits_equal_the_cached_forward_pass."""
 
     def test_uniform_logits_give_log_n_loss(self):
-        loss, grad = softmax_cross_entropy(np.zeros(6), 2)
+        loss = mean_cross_entropy(np.zeros((2, 6)), np.array([2, 5]))
         assert loss == pytest.approx(math.log(6.0), abs=1e-12)
-        assert grad[2] == pytest.approx(1 / 6 - 1)
-        assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_gradient_is_probability_minus_onehot(self):
-        logits = np.array([2.0, -1.0, 0.5, 0.0, 1.0, -0.5])
-        loss, grad = softmax_cross_entropy(logits, 4)
-        e = np.exp(logits - logits.max())
-        probs = e / e.sum()
-        assert loss == pytest.approx(-math.log(probs[4]))
-        expected = probs.copy()
-        expected[4] -= 1
-        assert np.allclose(grad, expected, atol=1e-12)
+        params = init_params(0)
+        xs, labels = _random_inputs(3), np.array([4, 0, 4])
+        loss, grads = loss_and_gradients(xs, labels, params)
+        probs = predict_probabilities(xs, params)
+        onehot = np.eye(len(CLASS_NAMES))[labels]
+        assert loss == pytest.approx(-np.log(probs[np.arange(3), labels]).mean())
+        assert np.allclose(grads["fc3.bias"], (probs - onehot).mean(axis=0), atol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
-        loss, grad = softmax_cross_entropy(np.array([1000.0, 0.0, 0.0]), 0)
+        params = init_params(0)
+        bias = np.zeros(len(CLASS_NAMES))
+        bias[0] = 1000.0
+        tensors = {**dict(params.tensors()), "fc3.bias": bias}
+        extreme = params.replace_tensors(tensors)
+        xs = _random_inputs(2)
+        probs = predict_probabilities(xs, extreme)
+        assert np.isfinite(probs).all()
+        assert probs[:, 0].tolist() == [1.0, 1.0]
+        loss, grads = loss_and_gradients(xs, np.array([0, 1]), extreme)
         assert math.isfinite(loss)
-        assert np.isfinite(grad).all()
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+    # a bad label set must fail in both entry points that take labels
+    def _assert_labels_rejected(self, labels):
+        with pytest.raises(ValueError):
+            mean_cross_entropy(np.zeros((2, len(CLASS_NAMES))), labels)
+        with pytest.raises(ValueError):
+            loss_and_gradients(_random_inputs(2), labels, init_params(0))
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros(6), 6)
+        self._assert_labels_rejected(np.array([0, len(CLASS_NAMES)]))
+
+    def test_negative_label_rejected(self):
+        self._assert_labels_rejected(np.array([-1, 0]))
+
+    def test_one_label_per_sample_required(self):
+        self._assert_labels_rejected(np.array([3]))
 
 
 class TestSgd:
@@ -506,38 +522,33 @@ class TestInit:
 
 class TestForward:
     def test_probabilities_normalized(self):
-        cube = Image(np.full((32, 32, 3), 90, dtype=np.uint8))
-        probs = network_forward(cube, init_params(0))
-        assert probs.shape == (6,)
+        cubes = [Image(np.full((32, 32, 3), v, dtype=np.uint8)) for v in (90, 200)]
+        probs = predict_probabilities(images_to_batch(cubes), init_params(0))
+        assert probs.shape == (2, 6)
         assert probs.min() >= 0
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_input_scaling(self):
-        cube = Image(np.full((32, 32, 3), 255, dtype=np.uint8))
-        x = image_to_input(cube)
-        assert x.shape == (3, 32, 32)
-        assert x.max() == 1.0
+        rng = Xoshiro256StarStar(206)
+        pixels = rng.integers_below(256, 32 * 32 * 3).reshape(32, 32, 3)
+        cubes = [
+            Image(np.full((32, 32, 3), 255, dtype=np.uint8)),
+            Image(pixels.astype(np.uint8)),
+        ]
+        xs = images_to_batch(cubes)
+        assert xs.shape == (2, 3, 32, 32)
+        assert (xs[0] == 1.0).all()
+        # the same bytes as scaling the one cube on its own
+        want = cubes[1].pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
+        assert xs[1].tobytes() == want.tobytes()
 
     def test_wrong_cube_size_rejected(self):
-        with pytest.raises(ShapeError):
-            image_to_input(Image(np.zeros((16, 16, 3), dtype=np.uint8)))
-
-    def test_batch_gradients_match_per_sample_entry_point(self):
-        rng = Xoshiro256StarStar(202)
-        pixels = rng.integers_below(256, 2 * 32 * 32 * 3)
         cubes = [
-            Image(pixels[i * 3072 : (i + 1) * 3072].reshape(32, 32, 3).astype(np.uint8))
-            for i in range(2)
+            Image(np.zeros((32, 32, 3), dtype=np.uint8)),
+            Image(np.zeros((16, 16, 3), dtype=np.uint8)),
         ]
-        params = init_params(0)
-        from rcc.net import images_to_batch
-
-        direct = loss_and_gradients(
-            images_to_batch(cubes), np.array([1, 4]), params
-        )[1]
-        wrapped = network_backward([(cubes[0], 1), (cubes[1], 4)], params)
-        for name in direct:
-            assert np.array_equal(direct[name], wrapped[name])
+        with pytest.raises(ShapeError):
+            images_to_batch(cubes)
 
 
 class TestCheckpoint:
