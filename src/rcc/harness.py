@@ -251,10 +251,12 @@ def compare_robustness(
     if not test_records:
         raise ValueError("manifest has no test split")
     images, labels = load_patches(test_records, data_dir)
+    pixels = np.stack([img.pixels for img in images])
     rows = []
     for gain in gains:
         spec = IlluminationSpec((gain, gain, gain), 1.0, 0.0)
-        perturbed = [apply_illumination(img, spec, 0) for img in images]
+        lit = apply_illumination(pixels, spec, [0] * len(pixels))
+        perturbed = [Image(p) for p in lit]
         predicted = logits(images_to_batch(perturbed), params).argmax(axis=1)
         rows.append(
             RobustnessRow(

@@ -16,26 +16,38 @@ Algorithm constants:
 * Doubles: ``(x >> 11) * 2**-53`` giving uniforms in [0, 1).
 * Normals: Box-Muller on uniform pairs, cosine branch first.
 
-Bulk draws (`fill_uint64`) run one stream as many numpy lanes in lockstep.
-The state step is linear over GF(2) (Blackman & Vigna, 2018, "Scrambled
-linear pseudorandom number generators"), so jumping a state n steps ahead
-is a product with the 256x256 bit matrix ``T**n``.  A fill of `count`
-draws is split into lanes of `_LANE_STEPS` consecutive draws: lane j
-starts ``j * _LANE_STEPS`` steps into the stream.  The lane start states
-come by doubling: with lanes 0..m-1 known, lanes m..2m-1 are one float32
-matrix product with the cached ``T**(_LANE_STEPS * m)``, reduced mod 2.
-All lanes then step `_LANE_STEPS` times as uint64 vectors, the scrambler
-runs over the whole ``s1`` history at once, and the lanes are laid out in
-stream order.  The generator is left exactly `count` draws on, taken from
-the last lane.  Long fills go in chunks of `_CHUNK_LANES` lanes to bound
-memory, and short ones use the scalar step, which costs less than the
-fixed overhead of the lanes.  Either way the output is the same stream
-that `next_uint64` draws, bit for bit.
+Bulk draws run many streams at once as numpy lanes in lockstep: one fill
+takes n start states and a count and returns n rows of `count` draws plus
+the n states after them.  `Xoshiro256StarStar.fill_uint64` is the n = 1
+case and `fill_streams` the batch of fresh seeded streams.  The state step
+is linear over GF(2) (Blackman & Vigna, 2018, "Scrambled linear
+pseudorandom number generators"), so jumping a state n steps ahead is a
+product with the 256x256 bit matrix ``T**n``.  Each stream's draws are
+split into lanes of L consecutive draws, L = ``_LANE_STEPS * 2**k``: lane
+j starts ``j * L`` steps into its stream.  The lane start states come by
+doubling: with lanes 0..m-1 of every stream known, lanes m..2m-1 are one
+float32 matrix product with the cached ``T**(L * m)``, reduced mod 2.
+All lanes then step L times as uint64 vectors, the scrambler runs over
+the ``s1`` history a block of steps at a time, and the lanes are laid out
+in stream order.  Each stream's state after the fill is taken from its last lane.
+
+The lane length trades the Python cost of each step against the matrix
+cost of each lane: a fill takes the shortest L whose lane count over all
+its streams is at most `_LANE_RATIO` times L (a single 36865-draw stream
+gets L = 96; 250 streams of 3073 draws get L = 384).  Long fills go in
+chunks of at most `_CHUNK_LANES` lanes over all streams to bound memory,
+and fills of fewer than `_LANE_MIN_COUNT` draws in all use the scalar
+step, which costs less than the fixed overhead of the lanes.
+Either way each row is the stream that `next_uint64` draws, bit for bit.
+The uniform and bounded-integer transforms are functions of raw draws
+along the last axis, and Box-Muller a function of the uniforms; the
+methods and the batch share them.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -56,14 +68,40 @@ def splitmix64(seed: int, count: int) -> list[int]:
     return out
 
 
-_LANE_STEPS = 48  # consecutive draws per lane
+_LANE_STEPS = 48  # draws per lane at the shortest lane length
+_LANE_RATIO = 8  # a fill takes the shortest lanes with at most this many lanes per step
 _CHUNK_LANES = 1024  # lanes per chunk; bounds the working memory of a fill
-_LANE_MIN_COUNT = 512  # shorter fills take the scalar step
+_LANE_MIN_COUNT = 512  # fills of fewer draws take the scalar step
+_SCRAMBLE_ROWS = 16  # steps of lane history scrambled at a time
 _STATE_BITS = 256
 
 # _jumps[i] is T**(_LANE_STEPS * 2**i) in row form (a state's bit row times
 # it is the state that many steps on), as float32 0/1; built on first use.
 _jumps: list[np.ndarray] = []
+
+
+def _seed_state(seed: int) -> list[int]:
+    state = splitmix64(int(seed), 4)
+    if not any(state):
+        state[0] = 1  # all-zero state is the one forbidden fixed point
+    return state
+
+
+def _scalar_fill(state: list[int], count: int) -> tuple[list[int], list[int]]:
+    """`count` draws from `state` one step at a time, and the state after."""
+    s0, s1, s2, s3 = state
+    out = []
+    for _ in range(count):
+        r = (s1 * 5) & _MASK
+        out.append((((r << 7) | (r >> 57)) & _MASK) * 9 & _MASK)
+        t = (s1 << 17) & _MASK
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+    return out, [s0, s1, s2, s3]
 
 
 def _step_lanes(s: np.ndarray, steps: int, history: np.ndarray | None = None) -> None:
@@ -111,50 +149,131 @@ def _jump(level: int) -> np.ndarray:
     return _jumps[level]
 
 
-def _fill_lanes(state: list[int], count: int) -> tuple[np.ndarray, list[int]]:
-    """`count` draws from `state` as lanes, and the state after them."""
-    lanes = -(-count // _LANE_STEPS)
-    bits = np.empty((lanes, _STATE_BITS), dtype=np.float32)
-    bits[0] = _words_to_bits(np.array([state], dtype=np.uint64))[0]
-    known, level = 1, 0
-    while known < lanes:
-        n = min(known, lanes - known)
-        bits[known : known + n] = _mod2_product(bits[:n], _jump(level))
-        known += n
+def _lane_level(n: int, count: int) -> int:
+    """The k of the lane length ``_LANE_STEPS * 2**k`` for `count` draws
+    from each of n streams: the shortest with at most `_LANE_RATIO` lanes
+    per step."""
+    level = 0
+    while n * -(-count // (_LANE_STEPS << level)) > _LANE_RATIO * (_LANE_STEPS << level):
         level += 1
+    return level
+
+
+def _fill_lanes(states: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
+    """Fill `out` (n, count) with the draws of the n streams that start at
+    `states` (n, 4), as lanes of ``_LANE_STEPS * 2**level`` draws; returns
+    the n states after them."""
+    n, count = out.shape
+    steps = _LANE_STEPS << level
+    m = -(-count // steps)  # lanes per stream; lane j*n + i is lane j of stream i
+    bits = np.empty((m * n, _STATE_BITS), dtype=np.float32)
+    bits[:n] = _words_to_bits(states)
+    known, jump = 1, level
+    while known < m:
+        k = min(known, m - known)
+        bits[known * n : (known + k) * n] = _mod2_product(bits[: k * n], _jump(jump))
+        known += k
+        jump += 1
     s = _bits_to_words(bits)
-    history = np.empty((_LANE_STEPS, lanes), dtype=np.uint64)
-    last_steps = count - (lanes - 1) * _LANE_STEPS
-    _step_lanes(s, last_steps, history)
-    final = [int(w) for w in s[:, -1]]
-    _step_lanes(s, _LANE_STEPS - last_steps, history[last_steps:])
-    r = history * np.uint64(5)
-    r = (r << np.uint64(7)) | (r >> np.uint64(57))
-    r *= np.uint64(9)
-    return r.T.reshape(-1)[:count], final
+    last_steps = count - (m - 1) * steps
+    rows = steps if m > 1 else last_steps
+    history = np.empty((rows, m, n), dtype=np.uint64)
+    flat = history.reshape(rows, m * n)
+    _step_lanes(s, last_steps, flat)
+    after = s[:, (m - 1) * n :].T.copy()
+    if m > 1:
+        _step_lanes(s[:, : (m - 1) * n], steps - last_steps, flat[last_steps:, : (m - 1) * n])
+    # the scrambler, over blocks of steps so its temporary stays small
+    rotated = np.empty((_SCRAMBLE_ROWS, m * n), dtype=np.uint64)
+    for row in range(0, rows, _SCRAMBLE_ROWS):
+        r = flat[row : row + _SCRAMBLE_ROWS]
+        t = rotated[: len(r)]
+        r *= np.uint64(5)
+        np.right_shift(r, np.uint64(57), out=t)
+        r <<= np.uint64(7)
+        r |= t
+        r *= np.uint64(9)
+    whole = (m - 1) * steps
+    out[:, :whole].reshape(n, m - 1, steps, copy=False)[...] = history[:, : m - 1].T
+    out[:, whole:] = history[:last_steps, m - 1].T
+    return after
+
+
+def _chunk_draws(n: int, count: int) -> int:
+    """Draws per stream in each chunk of an n-stream fill of `count`: whole
+    lanes, at most `_CHUNK_LANES` of them over all streams (one per stream
+    when n is larger)."""
+    return max(1, _CHUNK_LANES // n) * (_LANE_STEPS << _lane_level(n, count))
+
+
+def _fill(states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` draws from each of the n streams that start at `states`
+    (n, 4), as an (n, count) uint64 array, and the n states after them."""
+    if count < 0:
+        raise ValueError(f"draw count {count} is negative")
+    n = len(states)
+    out = np.empty((n, count), dtype=np.uint64)
+    after = np.array(states, dtype=np.uint64).reshape(n, 4)
+    if n * count < _LANE_MIN_COUNT:
+        for i in range(n):
+            draws, state = _scalar_fill([int(w) for w in after[i]], count)
+            out[i] = draws
+            after[i] = state
+        return out, after
+    level = _lane_level(n, count)
+    per_chunk = _chunk_draws(n, count)
+    for start in range(0, count, per_chunk):
+        after = _fill_lanes(after, out[:, start : start + per_chunk], level)
+    return out, after
+
+
+def fill_streams(seeds: Sequence[int], count: int) -> np.ndarray:
+    """The first `count` raw outputs of a fresh stream for each seed, as a
+    (len(seeds), count) uint64 array; row i is
+    ``Xoshiro256StarStar(seeds[i]).fill_uint64(count)``."""
+    states = np.array([_seed_state(seed) for seed in seeds], dtype=np.uint64)
+    return _fill(states.reshape(-1, 4), count)[0]
+
+
+def doubles_from(raw: np.ndarray) -> np.ndarray:
+    """Uniform float64 samples in [0, 1), one per raw draw."""
+    return (raw >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard-normal float64 samples from uniforms in [0, 1), one each.
+
+    The last axis holds uniform pairs, so its length must be even; each
+    pair gives its cosine-branch sample, then its sine-branch one.
+    """
+    u1 = np.maximum(u[..., 0::2], _DOUBLE_SCALE)  # avoid log(0)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * math.pi * u[..., 1::2]
+    z = np.empty(u.shape)
+    z[..., 0::2] = radius * np.cos(angle)
+    z[..., 1::2] = radius * np.sin(angle)
+    return z
+
+
+def integers_below_from(raw: np.ndarray, bound: int) -> np.ndarray:
+    """Uniform integers in [0, bound) as int64, one per raw draw.
+
+    Computed as floor(u * bound) from the 53-bit uniforms; the floor map
+    keeps the stream consumption at exactly one draw per value.
+    """
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return np.minimum((doubles_from(raw) * bound).astype(np.int64), bound - 1)
 
 
 class Xoshiro256StarStar:
     """xoshiro256** stream seeded from a 64-bit integer via splitmix64."""
 
     def __init__(self, seed: int):
-        state = splitmix64(seed, 4)
-        if not any(state):
-            state[0] = 1  # all-zero state is the one forbidden fixed point
-        self._s = state
+        self._s = _seed_state(seed)
 
     def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        r = (s1 * 5) & _MASK
-        r = ((((r << 7) | (r >> 57)) & _MASK) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
-        self._s = [s0, s1, s2, s3]
+        (r,), self._s = _scalar_fill(self._s, 1)
         return r
 
     def fill_uint64(self, count: int) -> np.ndarray:
@@ -162,23 +281,16 @@ class Xoshiro256StarStar:
 
         Equal to `count` calls of `next_uint64`, the state after included.
         """
-        if count < _LANE_MIN_COUNT:
-            return np.array(
-                [self.next_uint64() for _ in range(count)], dtype=np.uint64
-            )
-        out = np.empty(count, dtype=np.uint64)
-        chunk = _CHUNK_LANES * _LANE_STEPS
-        for start in range(0, count, chunk):
-            n = min(chunk, count - start)
-            out[start : start + n], self._s = _fill_lanes(self._s, n)
-        return out
+        out, after = _fill(np.array([self._s], dtype=np.uint64), count)
+        self._s = [int(w) for w in after[0]]
+        return out[0]
 
     def next_double(self) -> float:
         return (self.next_uint64() >> 11) * _DOUBLE_SCALE
 
     def doubles(self, count: int) -> np.ndarray:
         """Uniform float64 samples in [0, 1)."""
-        return ((self.fill_uint64(count) >> np.uint64(11))).astype(np.float64) * _DOUBLE_SCALE
+        return doubles_from(self.fill_uint64(count))
 
     def normals(self, count: int) -> np.ndarray:
         """Standard-normal float64 samples via Box-Muller.
@@ -187,27 +299,13 @@ class Xoshiro256StarStar:
         sine-branch sample is discarded, so consumption is always an even
         number of raw draws.
         """
-        pairs = (count + 1) // 2
-        u = self.doubles(2 * pairs)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        u1 = np.maximum(u1, _DOUBLE_SCALE)  # avoid log(0)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
-        return z[:count]
+        if count < 0:
+            raise ValueError(f"draw count {count} is negative")
+        return box_muller(self.doubles(2 * ((count + 1) // 2)))[:count]
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
-        """Uniform integers in [0, bound) as int64.
-
-        Computed as floor(u * bound) from the 53-bit uniforms; the floor
-        map keeps the stream consumption at exactly one draw per value.
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return np.minimum((self.doubles(count) * bound).astype(np.int64), bound - 1)
+        """Uniform integers in [0, bound) as int64; see `integers_below_from`."""
+        return integers_below_from(self.fill_uint64(count), bound)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -19,7 +20,14 @@ import numpy as np
 
 from .image import Image, round_half_away, write_ppm
 from .net import CLASS_NAMES
-from .rng import Xoshiro256StarStar, derive_stream_seed
+from .rng import (
+    Xoshiro256StarStar,
+    box_muller,
+    derive_stream_seed,
+    doubles_from,
+    fill_streams,
+    integers_below_from,
+)
 from .segment import BoundRect
 
 T = TypeVar("T")
@@ -50,6 +58,7 @@ BRIGHTNESS_MAX = 1.0
 
 PATCH_SIZE = 32
 DEFAULT_JITTER = 5
+PATCH_BLOCK = 256  # patches rendered per batch; bounds generate_dataset's memory
 SCENE_CANVAS = (128, 96)  # (width, height)
 BACKGROUND_LEVEL = 245
 
@@ -85,45 +94,72 @@ ILLUMINANT_PRESETS: dict[str, IlluminationSpec] = {
 ILLUMINANT_CYCLE = ("identity", "warm", "cool", "dim", "bright")
 
 
-def apply_illumination(img: Image, spec: IlluminationSpec, noise_seed: int) -> Image:
+def apply_illumination(
+    pixels: np.ndarray, spec: IlluminationSpec, noise_seeds: Sequence[int]
+) -> np.ndarray:
     """Per channel: out = clamp(round(255*(gain*c/255)^gamma) + noise).
 
-    Noise is Gaussian with the spec's std, drawn row-major from a PRNG
-    seeded with noise_seed; std 0 draws nothing.
+    `pixels` is a stack of images, (n, h, w, 3) uint8, lit as one array.
+    Image i's noise is Gaussian with the spec's std, drawn row-major from
+    a stream seeded with noise_seeds[i]; std 0 draws nothing.
     """
-    channels = img.pixels.astype(np.float64)
+    if len(noise_seeds) != len(pixels):
+        raise ValueError(f"{len(noise_seeds)} noise seeds for {len(pixels)} images")
+    channels = pixels.astype(np.float64)
     gains = np.array(spec.gain, dtype=np.float64)
     lit = 255.0 * (gains * channels / 255.0) ** spec.gamma
     lit = round_half_away(lit)
     if spec.noise_std > 0:
-        rng = Xoshiro256StarStar(noise_seed)
-        noise = spec.noise_std * rng.normals(lit.size).reshape(lit.shape)
+        size = math.prod(lit.shape[1:])
+        # Box-Muller takes uniform pairs; an odd size drops its last sine sample
+        u = doubles_from(fill_streams(noise_seeds, size + size % 2))
+        noise = spec.noise_std * box_muller(u)[:, :size].reshape(lit.shape)
+        del u  # before the sums below, where a large image peaks in memory
         lit = round_half_away(lit + noise)
-    return Image(np.clip(lit, 0, 255).astype(np.uint8))
+    return np.clip(lit, 0, 255).astype(np.uint8)
 
 
-def render_patch(
-    color: ColorClass,
-    brightness: float,
-    spec: IlluminationSpec,
-    seed: int,
+def render_patches(
+    colors: Sequence[ColorClass],
+    brightness: Sequence[float],
+    specs: Sequence[IlluminationSpec],
+    seeds: Sequence[int],
     jitter: int = DEFAULT_JITTER,
-) -> Image:
-    """One 32x32 patch: base color scaled by brightness, integer jitter of
-    up to +-jitter per channel, then the illumination model."""
-    if not BRIGHTNESS_MIN <= brightness <= BRIGHTNESS_MAX:
-        raise ValueError(
-            f"brightness {brightness} outside [{BRIGHTNESS_MIN}, {BRIGHTNESS_MAX}]"
-        )
-    rng = Xoshiro256StarStar(seed)
-    base = brightness * np.array(color.base_rgb, dtype=np.float64)
-    flat = np.broadcast_to(base, (PATCH_SIZE, PATCH_SIZE, 3)).copy()
+) -> np.ndarray:
+    """32x32 patches as one (n, 32, 32, 3) uint8 stack.
+
+    Patch i is colors[i]'s base color scaled by brightness[i], plus integer
+    jitter of up to +-jitter per channel drawn from the stream of seeds[i],
+    then the illumination model of specs[i], seeded with that stream's next
+    draw. The patches under one spec are lit in one call.
+    """
+    if not len(colors) == len(brightness) == len(specs) == len(seeds):
+        raise ValueError("one color, brightness, spec and seed per patch")
+    for b in brightness:
+        if not BRIGHTNESS_MIN <= b <= BRIGHTNESS_MAX:
+            raise ValueError(
+                f"brightness {b} outside [{BRIGHTNESS_MIN}, {BRIGHTNESS_MAX}]"
+            )
+    shape = (len(seeds), PATCH_SIZE, PATCH_SIZE, 3)
+    size = PATCH_SIZE * PATCH_SIZE * 3
+    raw = fill_streams(seeds, size + 1 if jitter > 0 else 1)
+    rgb = np.array([c.base_rgb for c in colors], dtype=np.float64).reshape(-1, 3)
+    base = np.array(brightness, dtype=np.float64)[:, None] * rgb
+    flat = np.broadcast_to(base[:, None, None, :], shape).copy()
     if jitter > 0:
-        offsets = rng.integers_below(2 * jitter + 1, flat.size) - jitter
-        flat += offsets.reshape(flat.shape)
-    noise_seed = rng.next_uint64()
-    raw = Image(np.clip(round_half_away(flat), 0, 255).astype(np.uint8))
-    return apply_illumination(raw, spec, noise_seed)
+        offsets = integers_below_from(raw[:, :size], 2 * jitter + 1) - jitter
+        flat += offsets.reshape(shape)
+    noise_seeds = raw[:, -1].tolist()
+    unlit = np.clip(round_half_away(flat), 0, 255).astype(np.uint8)
+    groups: dict[IlluminationSpec, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec, []).append(i)
+    patches = np.empty_like(unlit)
+    for spec, group in groups.items():
+        patches[group] = apply_illumination(
+            unlit[group], spec, [noise_seeds[i] for i in group]
+        )
+    return patches
 
 
 def render_scene(
@@ -154,8 +190,8 @@ def render_scene(
         offsets = rng.integers_below(2 * jitter + 1, canvas.size) - jitter
         canvas += offsets.reshape(canvas.shape)
     noise_seed = rng.next_uint64()
-    raw = Image(np.clip(round_half_away(canvas), 0, 255).astype(np.uint8))
-    return apply_illumination(raw, spec, noise_seed), rect
+    raw = np.clip(round_half_away(canvas), 0, 255).astype(np.uint8)
+    return Image(apply_illumination(raw[None], spec, [noise_seed])[0]), rect
 
 
 @dataclass(frozen=True)
@@ -375,23 +411,27 @@ def generate_dataset(
         ramp = j / (n_k - 1) if n_k > 1 else 0.0
         brightness = BRIGHTNESS_MIN + (BRIGHTNESS_MAX - BRIGHTNESS_MIN) * ramp
         illuminant = ILLUMINANT_CYCLE[i % len(ILLUMINANT_CYCLE)]
-        file_seed = derive_stream_seed(seed, i)
-        patch = render_patch(
-            color, brightness, ILLUMINANT_PRESETS[illuminant], file_seed
-        )
-        filename = f"patch_{i:04d}.ppm"
-        (out_dir / filename).write_bytes(write_ppm(patch))
         records.append(
             SampleRecord(
-                filename=filename,
+                filename=f"patch_{i:04d}.ppm",
                 class_index=color.index,
                 class_name=color.name,
                 split="test" if j in test_picks[color.index] else "train",
                 brightness_gain=brightness,
                 illuminant_name=illuminant,
-                seed=file_seed,
+                seed=derive_stream_seed(seed, i),
             )
         )
+    for start in range(0, total, PATCH_BLOCK):
+        block = records[start : start + PATCH_BLOCK]
+        patches = render_patches(
+            [COLOR_CLASSES[r.class_index] for r in block],
+            [r.brightness_gain for r in block],
+            [ILLUMINANT_PRESETS[r.illuminant_name] for r in block],
+            [r.seed for r in block],
+        )
+        for record, pixels in zip(block, patches):
+            (out_dir / record.filename).write_bytes(write_ppm(Image(pixels)))
 
     scene_records = []
     canvas_w, canvas_h = SCENE_CANVAS

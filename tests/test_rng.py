@@ -1,11 +1,13 @@
 """Generator correctness: frozen reference outputs and stream properties."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcc import rng as rng_mod
-from rcc.rng import Xoshiro256StarStar, derive_stream_seed, splitmix64
+from rcc.rng import Xoshiro256StarStar, derive_stream_seed, fill_streams, splitmix64
 
 # Published reference outputs for splitmix64 (seed 0 and seed 42).
 SPLITMIX_SEED0 = [
@@ -89,6 +91,65 @@ def test_fill_uint64_any_seed_and_count(seed, count):
     expected, state = _scalar_draws(seed, count)
     assert rng.fill_uint64(count).tolist() == expected
     assert rng._s == state
+
+
+def _edge_counts(n):
+    """Per-stream counts on both sides of each place where an n-stream fill
+    changes path: the scalar threshold, the first count of each lane-length
+    level, whole and ragged lanes of each level, and a chunk of each level."""
+    limit = (1 << 20) // n  # bounds the scalar reference's draws
+    edges = {-(-_SHORT // n)}
+    for level in range(1, 5):
+        edges.add(bisect.bisect_left(range(limit), level,
+                                     key=lambda c: rng_mod._lane_level(n, c)))
+        lane = _LANE << level
+        edges.update((lane, 3 * lane, max(1, rng_mod._CHUNK_LANES // n) * lane))
+    return sorted({c + d for c in edges for d in (-1, 0, 1) if 0 <= c + d < limit})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_multi_stream_fill_matches_per_stream_draws(n, data):
+    count = data.draw(st.sampled_from(_edge_counts(n)) | st.integers(0, 4000))
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    streams = [Xoshiro256StarStar(seed) for seed in seeds]
+    states = np.array([rng._s for rng in streams], dtype=np.uint64)
+    out, after = rng_mod._fill(states, count)
+    assert out.shape == (n, count) and out.dtype == np.uint64
+    for i, rng in enumerate(streams):
+        assert out[i].tolist() == [rng.next_uint64() for _ in range(count)], i
+        assert after[i].tolist() == rng._s, i
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_edge_counts_reach_every_path(n):
+    counts = _edge_counts(n)
+    assert n * min(counts) < _SHORT
+    assert {rng_mod._lane_level(n, c) for c in counts} >= {0, 1, 2, 3}
+    assert any(c > rng_mod._chunk_draws(n, c) for c in counts)
+
+
+def test_fill_streams_rows_are_fresh_streams():
+    seeds = [0, 1, 2**64 - 1, 12345]
+    out = fill_streams(seeds, _LANE * 64 + 5)
+    for seed, row in zip(seeds, out):
+        assert row.tolist() == Xoshiro256StarStar(seed).fill_uint64(_LANE * 64 + 5).tolist()
+    assert fill_streams([], 3).shape == (0, 3)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.fill_uint64(-5),
+    lambda rng: rng.doubles(-5),
+    lambda rng: rng.integers_below(6, -5),
+    lambda rng: rng.normals(-5),
+    lambda rng: rng.normals(-1),
+    lambda rng: fill_streams([1, 2], -1),
+])
+def test_negative_draw_count_rejected(draw):
+    rng = Xoshiro256StarStar(4)
+    with pytest.raises(ValueError, match="negative"):
+        draw(rng)
+    assert rng._s == Xoshiro256StarStar(4)._s
 
 
 def test_normals_at_lane_counts_match_scalar_draws():

@@ -5,21 +5,31 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rcc.image import Image, read_ppm, rgb_to_hsv
+from hypothesis import given, settings, strategies as st
+
+from rcc import synth
+from rcc.image import Image, read_ppm, round_half_away, rgb_to_hsv, write_ppm
+from rcc.rng import Xoshiro256StarStar, derive_stream_seed
 from rcc.synth import (
     BACKGROUND_LEVEL,
+    BRIGHTNESS_MAX,
+    BRIGHTNESS_MIN,
     COLOR_CLASSES,
+    DEFAULT_JITTER,
     ILLUMINANT_CYCLE,
     ILLUMINANT_PRESETS,
+    PATCH_SIZE,
+    SCENE_CANVAS,
     IlluminationSpec,
     SampleManifest,
     SampleRecord,
+    _scene_rect,
     _spread_picks,
     apply_illumination,
     generate_dataset,
     manifest_to_csv,
     read_manifest,
-    render_patch,
+    render_patches,
     render_scene,
 )
 from rcc.segment import BoundRect
@@ -29,41 +39,80 @@ def flat_image(rgb, w=4, h=4):
     return Image(np.full((h, w, 3), rgb, dtype=np.uint8))
 
 
+def illuminate(img, spec, noise_seed):
+    """`apply_illumination` on one image."""
+    return Image(apply_illumination(img.pixels[None], spec, [noise_seed])[0])
+
+
+def render_patch(color, brightness, spec, seed, jitter=DEFAULT_JITTER):
+    """`render_patches` for one patch."""
+    return Image(render_patches([color], [brightness], [spec], [seed], jitter)[0])
+
+
+# The per-image renderer that `render_patches` replaced, kept as its oracle.
+def oracle_apply_illumination(img, spec, noise_seed):
+    channels = img.pixels.astype(np.float64)
+    gains = np.array(spec.gain, dtype=np.float64)
+    lit = 255.0 * (gains * channels / 255.0) ** spec.gamma
+    lit = round_half_away(lit)
+    if spec.noise_std > 0:
+        rng = Xoshiro256StarStar(noise_seed)
+        noise = spec.noise_std * rng.normals(lit.size).reshape(lit.shape)
+        lit = round_half_away(lit + noise)
+    return Image(np.clip(lit, 0, 255).astype(np.uint8))
+
+
+def oracle_render_patch(color, brightness, spec, seed, jitter=DEFAULT_JITTER):
+    if not BRIGHTNESS_MIN <= brightness <= BRIGHTNESS_MAX:
+        raise ValueError(
+            f"brightness {brightness} outside [{BRIGHTNESS_MIN}, {BRIGHTNESS_MAX}]"
+        )
+    rng = Xoshiro256StarStar(seed)
+    base = brightness * np.array(color.base_rgb, dtype=np.float64)
+    flat = np.broadcast_to(base, (PATCH_SIZE, PATCH_SIZE, 3)).copy()
+    if jitter > 0:
+        offsets = rng.integers_below(2 * jitter + 1, flat.size) - jitter
+        flat += offsets.reshape(flat.shape)
+    noise_seed = rng.next_uint64()
+    raw = Image(np.clip(round_half_away(flat), 0, 255).astype(np.uint8))
+    return oracle_apply_illumination(raw, spec, noise_seed)
+
+
 class TestIllumination:
     def test_half_gain_halves_channels(self):
-        out = apply_illumination(
+        out = illuminate(
             flat_image((200, 100, 50)), IlluminationSpec(gain=(0.5, 0.5, 0.5)), 0
         )
         assert out.pixels[0, 0].tolist() == [100, 50, 25]
 
     def test_gamma_two_squares_normalized_channel(self):
-        out = apply_illumination(flat_image((128, 128, 128)),
+        out = illuminate(flat_image((128, 128, 128)),
                                  IlluminationSpec(gamma=2.0), 0)
         # 255 * (128/255)^2 = 64.25, rounded down to 64
         assert (out.pixels == 64).all()
 
     def test_identity_spec_is_lossless(self):
         img = flat_image((13, 200, 77))
-        assert apply_illumination(img, IlluminationSpec(), 0) == img
+        assert illuminate(img, IlluminationSpec(), 0) == img
 
     def test_gain_clips_at_white(self):
-        out = apply_illumination(flat_image((200, 200, 200)),
+        out = illuminate(flat_image((200, 200, 200)),
                                  IlluminationSpec(gain=(1.5, 1.5, 1.5)), 0)
         assert (out.pixels == 255).all()
 
     def test_noise_is_seed_deterministic(self):
         img = flat_image((120, 120, 120), w=8, h=8)
         spec = IlluminationSpec(noise_std=4.0)
-        a = apply_illumination(img, spec, 99)
-        b = apply_illumination(img, spec, 99)
-        c = apply_illumination(img, spec, 100)
+        a = illuminate(img, spec, 99)
+        b = illuminate(img, spec, 99)
+        c = illuminate(img, spec, 100)
         assert a == b
         assert a != c
 
     def test_zero_noise_ignores_seed(self):
         img = flat_image((120, 120, 120))
         spec = IlluminationSpec(noise_std=0.0)
-        assert apply_illumination(img, spec, 1) == apply_illumination(img, spec, 2)
+        assert illuminate(img, spec, 1) == illuminate(img, spec, 2)
 
     def test_spec_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -72,6 +121,84 @@ class TestIllumination:
             IlluminationSpec(gamma=3.0)
         with pytest.raises(ValueError):
             IlluminationSpec(noise_std=30.0)
+
+    @pytest.mark.parametrize("spec", [
+        ILLUMINANT_PRESETS["warm"],
+        IlluminationSpec((0.7, 1.1, 1.3), 1.7, 0.0),
+        IlluminationSpec((1.2, 0.9, 0.6), 0.6, 2.5),
+    ])
+    def test_stack_matches_per_image_oracle(self, spec):
+        # a 5x3 image has an odd channel count, so each image drops a sine draw
+        rng = Xoshiro256StarStar(41)
+        pixels = rng.integers_below(256, 6 * 3 * 5 * 3).reshape(6, 3, 5, 3).astype(np.uint8)
+        seeds = [int(s) for s in rng.fill_uint64(6)]
+        lit = apply_illumination(pixels, spec, seeds)
+        assert lit.dtype == np.uint8
+        for img, seed, out in zip(pixels, seeds, lit):
+            assert np.array_equal(out, oracle_apply_illumination(Image(img), spec, seed).pixels)
+
+    def test_one_noise_seed_per_image(self):
+        pixels = np.zeros((3, 4, 4, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="2 noise seeds for 3 images"):
+            apply_illumination(pixels, IlluminationSpec(), [0, 1])
+
+
+PRESET_NAMES = sorted(ILLUMINANT_PRESETS)
+
+
+class TestBatchRenderer:
+    """`render_patches` against the per-patch oracle, byte for byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(COLOR_CLASSES) - 1),
+                st.floats(BRIGHTNESS_MIN, BRIGHTNESS_MAX),
+                st.integers(0, 2**64 - 1),
+                st.sampled_from(PRESET_NAMES),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([0, 1, DEFAULT_JITTER, 9]),
+    )
+    def test_random_patches_match_oracle(self, patches, jitter):
+        colors = [COLOR_CLASSES[c] for c, _, _, _ in patches]
+        brightness = [b for _, b, _, _ in patches]
+        seeds = [s for _, _, s, _ in patches]
+        specs = [ILLUMINANT_PRESETS[name] for _, _, _, name in patches]
+        batch = render_patches(colors, brightness, specs, seeds, jitter)
+        assert batch.shape == (len(patches), PATCH_SIZE, PATCH_SIZE, 3)
+        for i, out in enumerate(batch):
+            expected = oracle_render_patch(colors[i], brightness[i], specs[i], seeds[i], jitter)
+            assert out.tobytes() == expected.pixels.tobytes(), i
+
+    @pytest.mark.parametrize("jitter", [0, DEFAULT_JITTER])
+    def test_custom_specs_match_oracle(self, jitter):
+        specs = [
+            IlluminationSpec((0.7, 1.1, 1.3), 1.7, 0.0),
+            ILLUMINANT_PRESETS["dim"],
+            IlluminationSpec((1.0, 1.0, 1.0), 0.6, 0.0),
+            IlluminationSpec((0.7, 1.1, 1.3), 1.7, 0.0),
+        ]
+        colors = [COLOR_CLASSES[i] for i in (5, 0, 3, 2)]
+        brightness = [0.2, 0.45, 0.8, 1.0]
+        seeds = [3, 2**63 + 5, 77, 3]
+        batch = render_patches(colors, brightness, specs, seeds, jitter)
+        for i, out in enumerate(batch):
+            expected = oracle_render_patch(colors[i], brightness[i], specs[i], seeds[i], jitter)
+            assert out.tobytes() == expected.pixels.tobytes(), i
+
+    def test_one_of_each_per_patch(self):
+        spec = IlluminationSpec()
+        with pytest.raises(ValueError, match="per patch"):
+            render_patches(COLOR_CLASSES[:2], [0.5, 0.6], [spec], [0, 1])
+
+    def test_any_brightness_out_of_range_rejected(self):
+        spec = IlluminationSpec()
+        with pytest.raises(ValueError, match="brightness 1.5"):
+            render_patches(COLOR_CLASSES[:2], [0.5, 1.5], [spec, spec], [0, 1])
 
 
 class TestRenderers:
@@ -228,3 +355,44 @@ class TestGenerateDataset:
     def test_train_count_must_leave_a_test_split(self, tmp_path):
         with pytest.raises(ValueError):
             generate_dataset(tmp_path, total=10, train=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "total, train, seed, scenes, block",
+        [(7, 3, 5, 2, synth.PATCH_BLOCK), (7, 3, 2**40 + 7, 0, synth.PATCH_BLOCK), (7, 3, 1, 1, 3)],
+    )
+    def test_matches_oracle_loop(self, tmp_path, monkeypatch, total, train, seed, scenes, block):
+        """Every file equals the one the per-patch loop wrote, at counts
+        the golden file does not cover and across render blocks."""
+        monkeypatch.setattr(synth, "PATCH_BLOCK", block)
+        manifest = generate_dataset(tmp_path, total=total, train=train, seed=seed, scenes=scenes)
+        expected = oracle_dataset(total, train, seed, scenes)
+        assert [r.filename for r in manifest.records] + [s.filename for s in manifest.scenes] \
+            == list(expected)
+        for name, data in expected.items():
+            assert (tmp_path / name).read_bytes() == data, name
+
+
+def oracle_dataset(total, train, seed, scenes):
+    """{filename: bytes} of the patches and scenes, one render call each."""
+    class_counts = synth._balanced_counts(total, len(COLOR_CLASSES))
+    files = {}
+    seen = [0] * len(COLOR_CLASSES)
+    for i in range(total):
+        color = COLOR_CLASSES[i % len(COLOR_CLASSES)]
+        j = seen[color.index]
+        seen[color.index] += 1
+        n_k = class_counts[color.index]
+        ramp = j / (n_k - 1) if n_k > 1 else 0.0
+        brightness = BRIGHTNESS_MIN + (BRIGHTNESS_MAX - BRIGHTNESS_MIN) * ramp
+        spec = ILLUMINANT_PRESETS[ILLUMINANT_CYCLE[i % len(ILLUMINANT_CYCLE)]]
+        patch = oracle_render_patch(color, brightness, spec, derive_stream_seed(seed, i))
+        files[f"patch_{i:04d}.ppm"] = write_ppm(patch)
+    for s in range(scenes):
+        rng = Xoshiro256StarStar(derive_stream_seed(seed, total + s))
+        rect = _scene_rect(rng, *SCENE_CANVAS)
+        scene, _ = render_scene(
+            COLOR_CLASSES[s % len(COLOR_CLASSES)], rect, *SCENE_CANVAS,
+            ILLUMINANT_PRESETS[ILLUMINANT_CYCLE[s % len(ILLUMINANT_CYCLE)]], rng.next_uint64(),
+        )
+        files[f"scene_{s:02d}.ppm"] = write_ppm(scene)
+    return files
