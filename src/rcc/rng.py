@@ -194,7 +194,8 @@ def _fill_lanes(states: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
         r |= t
         r *= np.uint64(9)
     whole = (m - 1) * steps
-    out[:, :whole].reshape(n, m - 1, steps, copy=False)[...] = history[:, : m - 1].T
+    if m > 1:
+        out[:, :whole].reshape(n, m - 1, steps, copy=False)[...] = history[:, : m - 1].T
     out[:, whole:] = history[:last_steps, m - 1].T
     return after
 

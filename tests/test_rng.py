@@ -121,6 +121,17 @@ def test_multi_stream_fill_matches_per_stream_draws(n, data):
         assert after[i].tolist() == rng._s, i
 
 
+@pytest.mark.parametrize("n, count", [(18, 29), (11, 47), (12, 48), (600, 1)])
+def test_multi_stream_fill_of_one_lane_per_stream(n, count):
+    # the lane path with a single, ragged lane per stream
+    seeds = range(100, 100 + n)
+    streams = [Xoshiro256StarStar(seed) for seed in seeds]
+    out, after = rng_mod._fill(np.array([rng._s for rng in streams], dtype=np.uint64), count)
+    for i, rng in enumerate(streams):
+        assert out[i].tolist() == [rng.next_uint64() for _ in range(count)], i
+        assert after[i].tolist() == rng._s, i
+
+
 @pytest.mark.parametrize("n", [1, 7, 40])
 def test_edge_counts_reach_every_path(n):
     counts = _edge_counts(n)

@@ -26,24 +26,32 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def commit_of(checkout: Path) -> str:
     """The checkout's commit, marked `-dirty` when its tracked files differ."""
-    result = subprocess.run(
-        ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=12"],
-        capture_output=True, text=True,
-    )
+    try:
+        result = subprocess.run(
+            ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=12"],
+            capture_output=True, text=True,
+        )
+    except OSError:  # no git on this host
+        return "unknown"
     return result.stdout.strip() or "unknown"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        usage="%(prog)s LABEL [--checkout DIR] -- RUN_ARGS...")
     parser.add_argument("label", help="names the record BENCH_<label>.json")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="the checkout whose perfbench/run.py runs")
-    parser.add_argument("run_args", nargs=argparse.REMAINDER,
-                        help="arguments for perfbench/run.py, after --")
-    args = parser.parse_args(argv)
-    run_args = args.run_args[1:] if args.run_args[:1] == ["--"] else args.run_args
+    argv = sys.argv[1:] if argv is None else argv
+    split = argv.index("--") if "--" in argv else len(argv)
+    args = parser.parse_args(argv[:split])
+    run_args = argv[split + 1 :]
     checkout = args.checkout.resolve()
-    command = [sys.executable, "perfbench/run.py", *run_args]
+    if not (checkout / "perfbench" / "run.py").is_file():
+        parser.error(f"no perfbench/run.py under {checkout}")
+    # the interpreter named the way BENCHMARK.json names it
+    command = ["python3", "perfbench/run.py", *run_args]
 
     lines = []
     with subprocess.Popen(command, cwd=checkout, stdout=subprocess.PIPE, text=True) as proc:
@@ -53,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     host = [line[len("host "):] for line in lines if line.startswith("host ")]
     try:
         record = {
-            "command": ["python3", "perfbench/run.py", *run_args],
+            "command": command,
             "commit": commit_of(checkout),
             "host": json.loads(host[0]),
             "run": json.loads(lines[-1]),
