@@ -105,17 +105,24 @@ def apply_illumination(
     """
     if len(noise_seeds) != len(pixels):
         raise ValueError(f"{len(noise_seeds)} noise seeds for {len(pixels)} images")
-    channels = pixels.astype(np.float64)
-    gains = np.array(spec.gain, dtype=np.float64)
-    lit = 255.0 * (gains * channels / 255.0) ** spec.gamma
+    # in place, each whole-image array dropped before the next is made, so
+    # a large image peaks lower; every value sees the formula's operations
+    # in the same order
+    lit = pixels.astype(np.float64)
+    lit *= np.array(spec.gain, dtype=np.float64)
+    lit /= 255.0
+    lit **= spec.gamma
+    lit *= 255.0
     lit = round_half_away(lit)
     if spec.noise_std > 0:
         size = math.prod(lit.shape[1:])
         # Box-Muller takes uniform pairs; an odd size drops its last sine sample
-        u = doubles_from(fill_streams(noise_seeds, size + size % 2))
-        noise = spec.noise_std * box_muller(u)[:, :size].reshape(lit.shape)
-        del u  # before the sums below, where a large image peaks in memory
-        lit = round_half_away(lit + noise)
+        noise = box_muller(doubles_from(fill_streams(noise_seeds, size + size % 2)))
+        noise = noise[:, :size].reshape(lit.shape)
+        noise *= spec.noise_std
+        noise += lit
+        del lit
+        lit = round_half_away(noise)
     return np.clip(lit, 0, 255).astype(np.uint8)
 
 
