@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import Image
+from .net import INPUT_SIZE
 from .segment import BoundRect
 
-CUBE_SIZE = 32
+CUBE_SIZE = INPUT_SIZE
 GRID_SIDE = 3
 
 

@@ -6,11 +6,15 @@ fully connected layers 512 -> 64 -> 32 -> 6 with ReLU between them and
 softmax cross-entropy on top.  Everything runs in 64-bit floats so the
 finite-difference gradient check can use tight tolerances.
 
-Every pass takes a whole batch in layout (batch, channels, height,
-width); `conv2d_forward` and `maxpool_forward` are one-sample views of
-the batched conv and pool that tests use as oracles.  Checkpoints are a
-small binary format (magic "RCC1") holding layer kinds, dimensions, and
-raw little-endian float64 tensors; round-trips are bit-exact.
+`LAYER_TABLE` is the only description of that architecture: params,
+init and checkpoints are checked against or built from it, and any layer
+of another kind, shape or padding is rejected.  Every pass takes a whole
+batch in layout (batch, channels, height, width); `conv2d_forward` and
+`maxpool_forward` are one-sample views of the batched conv and pool that
+tests use as oracles, on any filter shape and padding.  Checkpoints are a
+small binary format (magic "RCC1") holding each layer's kind and
+dimensions, which must be the table's, and raw little-endian float64
+tensors; round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ CHECKPOINT_VERSION = 1
 
 
 class ShapeError(ValueError):
-    """Tensor shapes do not chain."""
+    """Tensor shapes do not fit the operation or the architecture."""
 
 
 class NumericError(ArithmeticError):
@@ -91,20 +95,6 @@ class ConvLayerParams:
         object.__setattr__(self, "filters", filters)
         object.__setattr__(self, "bias", bias)
 
-    def out_shape(self, name: str, shape: tuple[int, ...]) -> tuple[int, ...]:
-        """(C, H, W) out of conv, ReLU and max pool; errors name layer `name`."""
-        out_ch, in_ch, m, n = self.filters.shape
-        if shape[0] != in_ch:
-            raise ShapeError(f"{name} expects {in_ch} input channels, gets {shape[0]}")
-        h = shape[1] + 2 * self.padding - m + 1
-        w = shape[2] + 2 * self.padding - n + 1
-        if h < 1 or w < 1 or h % POOL_WINDOW or w % POOL_WINDOW:
-            raise ShapeError(
-                f"{name} makes {h}x{w} from {shape[1]}x{shape[2]}, which pool "
-                f"window {POOL_WINDOW} does not tile"
-            )
-        return out_ch, h // POOL_WINDOW, w // POOL_WINDOW
-
 
 @dataclass(frozen=True)
 class FcLayerParams:
@@ -127,13 +117,6 @@ class FcLayerParams:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias", bias)
 
-    def out_shape(self, name: str, shape: tuple[int, ...]) -> tuple[int, ...]:
-        """(out,) from the flattened input; errors name layer `name`."""
-        out_f, in_f = self.weights.shape
-        if math.prod(shape) != in_f:
-            raise ShapeError(f"{name} expects {in_f} inputs, gets {math.prod(shape)}")
-        return (out_f,)
-
 
 @dataclass(frozen=True)
 class PoolSpec:
@@ -147,8 +130,9 @@ class PoolSpec:
 
 
 # The architecture in forward order: layer name, kind and weight shape.
-# Every conv stage is conv + ReLU + max pool; every fc layer but the last
-# is followed by a ReLU.  init_params draws the weights in this order.
+# Every conv stage is conv (padding 1) + ReLU + max pool; every fc layer
+# but the last is followed by a ReLU.  NetworkParams and checkpoints must
+# match it row by row, and init_params draws the weights in this order.
 LAYER_TABLE = (
     ("conv1", ConvLayerParams, (8, 3, 3, 3)),
     ("conv2", ConvLayerParams, (16, 8, 3, 3)),
@@ -164,7 +148,11 @@ Layer = ConvLayerParams | FcLayerParams
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """The six parameterized layers in forward order plus class labels."""
+    """The six parameterized layers in forward order plus class labels.
+
+    Raises ShapeError unless each layer has its LAYER_TABLE row's kind and
+    weight shape, and each conv padding 1.
+    """
 
     conv1: ConvLayerParams
     conv2: ConvLayerParams
@@ -178,13 +166,16 @@ class NetworkParams:
     def __post_init__(self):
         layers = tuple((name, getattr(self, name)) for name in LAYER_NAMES)
         object.__setattr__(self, "layers", layers)
-        shape: tuple[int, ...] = (3, INPUT_SIZE, INPUT_SIZE)
-        for (name, layer), (_, kind, _) in zip(layers, LAYER_TABLE):
+        for (name, layer), (_, kind, shape) in zip(layers, LAYER_TABLE):
             if not isinstance(layer, kind):
                 raise ShapeError(f"{name} must be a {kind.__name__}")
-            shape = layer.out_shape(name, shape)
-        if shape != (len(self.class_names),):
-            raise ShapeError(f"{name} has {shape[0]} outputs for {self.class_names}")
+            weight = getattr(layer, kind.weight_name)
+            if weight.shape != shape:
+                raise ShapeError(
+                    f"{name} {kind.weight_name} have shape {weight.shape}, not {shape}"
+                )
+            if kind is ConvLayerParams and layer.padding != 1:
+                raise ShapeError(f"{name} has padding {layer.padding}, not 1")
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         """All parameter tensors as (dotted name, array), forward order."""
@@ -196,15 +187,10 @@ class NetworkParams:
 
     def replace_tensors(self, tensors: Mapping[str, np.ndarray]) -> "NetworkParams":
         """New params with every tensor swapped for its entry in `tensors`."""
-        layers = {}
-        for name, layer in self.layers:
-            weight = tensors[f"{name}.{layer.weight_name}"]
-            bias = tensors[f"{name}.bias"]
-            if isinstance(layer, ConvLayerParams):
-                layers[name] = ConvLayerParams(weight, bias, layer.padding)
-            else:
-                layers[name] = FcLayerParams(weight, bias)
-        return NetworkParams(**layers)
+        return NetworkParams(*(
+            kind(tensors[f"{name}.{kind.weight_name}"], tensors[f"{name}.bias"])
+            for name, kind, _ in LAYER_TABLE
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +536,23 @@ def init_params(seed: int) -> NetworkParams:
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 
-_KIND_CONV = 0
-_KIND_FC = 1
+def _layer_header(kind: type, shape: tuple[int, ...]) -> bytes:
+    """A layer's kind byte and u32 dimensions: conv 0 with (o, c, m, n) and
+    padding 1, fc 1 with (out, in)."""
+    if kind is ConvLayerParams:
+        return struct.pack("<B5I", 0, *shape, 1)
+    return struct.pack("<B2I", 1, *shape)
 
 
 def save_checkpoint(params: NetworkParams) -> bytes:
     """Serialize all layers: magic, u32 version, u32 layer count, then per
-    layer a u8 kind, u32 dimensions, and raw little-endian float64 tensors
+    layer its `_layer_header` and raw little-endian float64 tensors
     (weights then bias, row-major)."""
     out = bytearray(CHECKPOINT_MAGIC)
-    out += struct.pack("<I", CHECKPOINT_VERSION)
-    out += struct.pack("<I", len(params.layers))
-    for _, layer in params.layers:
-        weight = getattr(layer, layer.weight_name)
-        if isinstance(layer, ConvLayerParams):
-            out += struct.pack("<B5I", _KIND_CONV, *weight.shape, layer.padding)
-        else:
-            out += struct.pack("<B2I", _KIND_FC, *weight.shape)
-        out += weight.astype("<f8").tobytes()
+    out += struct.pack("<II", CHECKPOINT_VERSION, len(LAYER_TABLE))
+    for (_, kind, shape), (_, layer) in zip(LAYER_TABLE, params.layers):
+        out += _layer_header(kind, shape)
+        out += getattr(layer, kind.weight_name).astype("<f8").tobytes()
         out += layer.bias.astype("<f8").tobytes()
     return bytes(out)
 
@@ -595,7 +580,8 @@ class _Reader:
 
 
 def load_checkpoint(data: bytes) -> NetworkParams:
-    """Parse checkpoint bytes back into NetworkParams, bit-exactly."""
+    """Parse checkpoint bytes back into NetworkParams, bit-exactly; raises
+    CheckpointError unless every layer header is its LAYER_TABLE row's."""
     reader = _Reader(data)
     magic = reader.take(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
@@ -604,29 +590,23 @@ def load_checkpoint(data: bytes) -> NetworkParams:
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"unsupported version {version}")
     count = reader.u32()
-    if count != len(LAYER_NAMES):
-        raise CheckpointError(f"checkpoint has {count} layers, not {len(LAYER_NAMES)}")
+    if count != len(LAYER_TABLE):
+        raise CheckpointError(f"checkpoint has {count} layers, not {len(LAYER_TABLE)}")
     layers: list[Layer] = []
-    for _ in range(count):
-        kind = reader.take(1)[0]
-        if kind == _KIND_CONV:
-            o, c, m, n, pad = (reader.u32() for _ in range(5))
-            filters = reader.floats(o * c * m * n).reshape(o, c, m, n)
-            bias = reader.floats(o)
-            layers.append(ConvLayerParams(filters, bias, pad))
-        elif kind == _KIND_FC:
-            o, i = reader.u32(), reader.u32()
-            weights = reader.floats(o * i).reshape(o, i)
-            bias = reader.floats(o)
-            layers.append(FcLayerParams(weights, bias))
-        else:
-            raise CheckpointError(f"unknown layer kind {kind}")
+    for name, kind, shape in LAYER_TABLE:
+        header = _layer_header(kind, shape)
+        if reader.take(len(header)) != header:
+            raise CheckpointError(
+                f"{name} kind or dimensions differ from the fixed architecture's {shape}"
+            )
+        weight = reader.floats(math.prod(shape)).reshape(shape)
+        try:
+            layers.append(kind(weight, reader.floats(shape[0])))
+        except ValueError as exc:
+            raise CheckpointError(f"{name}: {exc}") from exc
     if reader.pos != len(data):
         raise CheckpointError(f"{len(data) - reader.pos} trailing bytes")
-    try:
-        return NetworkParams(*layers)
-    except ValueError as exc:
-        raise CheckpointError(f"inconsistent layer shapes: {exc}") from exc
+    return NetworkParams(*layers)
 
 
 # ---------------------------------------------------------------------------

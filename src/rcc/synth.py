@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .image import Image, round_half_away, write_ppm
-from .net import CLASS_NAMES
+from .net import CLASS_NAMES, INPUT_SIZE
 from .rng import (
     Xoshiro256StarStar,
     box_muller,
@@ -56,7 +57,7 @@ COLOR_CLASSES: tuple[ColorClass, ...] = (
 BRIGHTNESS_MIN = 0.2
 BRIGHTNESS_MAX = 1.0
 
-PATCH_SIZE = 32
+PATCH_SIZE = INPUT_SIZE
 DEFAULT_JITTER = 5
 PATCH_BLOCK = 256  # patches rendered per batch; bounds generate_dataset's memory
 SCENE_CANVAS = (128, 96)  # (width, height)
@@ -266,7 +267,8 @@ def write_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def manifest_to_csv(manifest: SampleManifest) -> str:
-    return write_csv(MANIFEST_COLUMNS, map(astuple, manifest.records))
+    rows = map(operator.attrgetter(*MANIFEST_COLUMNS), manifest.records)
+    return write_csv(MANIFEST_COLUMNS, rows)
 
 
 def scenes_to_csv(scenes: tuple[SceneRecord, ...]) -> str:

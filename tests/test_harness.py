@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,16 @@ def _overflowing_model(path):
     tensors["fc2.weights"] = tensors["fc2.weights"] * 1e100
     tensors["fc3.weights"] = tensors["fc3.weights"] * 1e300
     path.write_bytes(save_checkpoint(params.replace_tensors(tensors)))
+
+
+def _five_by_five_conv1_model(path):
+    """A checkpoint whose conv1 is 8x3x5x5 with padding 2: its maps still
+    chain to fc1's 512 inputs, but it is not the fixed architecture."""
+    blob = save_checkpoint(init_params(0))
+    conv1_end = 12 + 21 + 8 * (8 * 3 * 3 * 3 + 8)  # header, then its layer
+    conv1 = struct.pack("<B5I", 0, 8, 3, 5, 5, 2)
+    conv1 += np.full(8 * 3 * 5 * 5 + 8, 0.01).astype("<f8").tobytes()
+    path.write_bytes(blob[:12] + conv1 + blob[conv1_end:])
 
 
 class TestTrain:
@@ -421,6 +432,23 @@ class TestCli:
         }[command]
         assert cli.main([command, "--model", str(model)] + args) == 4
         assert "non-finite logits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "detect-adaptive", "detect-sobel"])
+    def test_model_off_the_layer_table_is_io_error(
+        self, tiny_dataset, tmp_path, capsys, command
+    ):
+        data, _ = tiny_dataset
+        model = tmp_path / "model.ckpt"
+        _five_by_five_conv1_model(model)
+        args = {
+            "eval": ["eval", "--data", str(data), "--report", str(tmp_path / "r.json")],
+            "detect-adaptive": ["detect", "--image", str(data / "scene_00.ppm"),
+                                "--segmenter", "adaptive", "--json"],
+            "detect-sobel": ["detect", "--image", str(data / "scene_00.ppm"),
+                             "--segmenter", "sobel", "--json"],
+        }[command]
+        assert cli.main(args + ["--model", str(model)]) == 3
+        assert "conv1" in capsys.readouterr().err
 
     def test_bad_manifest_value_names_file_and_line(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -551,6 +551,23 @@ class TestForward:
             images_to_batch(cubes)
 
 
+def _raw_checkpoint(conv1_shape=(8, 3, 3, 3), paddings=(1, 1, 1)) -> bytes:
+    """init_params(0) in the documented checkpoint format, with the conv
+    `paddings` as given and conv1's filters, if `conv1_shape` is not the
+    table's, replaced by 0.01 in that shape."""
+    out = bytearray(b"RCC1" + struct.pack("<II", 1, 6))
+    for i, (_, layer) in enumerate(init_params(0).layers):
+        weight = getattr(layer, layer.weight_name)
+        if i == 0 and weight.shape != conv1_shape:
+            weight = np.full(conv1_shape, 0.01)
+        if i < 3:
+            out += struct.pack("<B5I", 0, *weight.shape, paddings[i])
+        else:
+            out += struct.pack("<B2I", 1, *weight.shape)
+        out += weight.astype("<f8").tobytes() + layer.bias.astype("<f8").tobytes()
+    return bytes(out)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self):
         params = init_params(0)
@@ -588,14 +605,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(bytes(blob))
 
-    @pytest.mark.parametrize("padding", [0, 2])
-    def test_conv1_padding_that_cannot_chain_is_rejected(self, padding):
+    @pytest.mark.parametrize("conv1_shape, paddings", [
+        ((8, 3, 3, 3), (0, 1, 1)),
+        ((8, 3, 3, 3), (2, 1, 1)),
+        ((8, 3, 5, 5), (2, 1, 1)),
+        ((8, 3, 3, 3), (3, 0, 1)),
+    ], ids=["pad0", "pad2", "5x5_pad2", "pads_3_0_1"])
+    def test_checkpoint_off_the_layer_table_is_rejected(self, conv1_shape, paddings):
         # conv1 padding 0 or 2 pools to 15x15 or 17x17 maps, which conv2's
-        # output cannot tile with the 2x2 pool
-        blob = bytearray(save_checkpoint(init_params(0)))
-        blob[29:33] = struct.pack("<I", padding)  # kind u8 at 12, then o, c, m, n
-        with pytest.raises(CheckpointError, match="conv2 makes"):
-            load_checkpoint(bytes(blob))
+        # output cannot tile with the 2x2 pool; a 5x5 conv1 with padding 2,
+        # or paddings 3, 0 and 1, chain to fc1's 512 inputs all the same
+        assert _raw_checkpoint() == save_checkpoint(init_params(0))
+        with pytest.raises(CheckpointError, match="conv1 kind or dimensions"):
+            load_checkpoint(_raw_checkpoint(conv1_shape, paddings))
 
     def test_error_hierarchy(self):
         assert issubclass(CheckpointMagicError, CheckpointError)
@@ -612,7 +634,7 @@ class TestParamValidation:
             "fc3.weights": tensors["fc3.weights"][:5],
             "fc3.bias": tensors["fc3.bias"][:5],
         }
-        with pytest.raises(ShapeError, match="5 outputs"):
+        with pytest.raises(ShapeError, match=r"fc3 weights have shape \(5, 32\)"):
             params.replace_tensors({**tensors, **narrow})
 
     def test_non_finite_weights_rejected(self):

@@ -7,10 +7,11 @@ RUN_ARGS go to `perfbench/run.py` of the checkout DIR (by default this
 repository), e.g. `--workload gen --seed 1301 --seconds 26 --trace 0`.
 The run's output passes through to standard output. The record, written
 to the root of this repository, holds the command, the checkout's commit,
-the run's host line (nproc, CPU, numpy, BLAS build and thread count) and
-its final JSON line (correct, attempted, failed and the metrics). A run
-that exits non-zero, or whose last line is not a JSON object, writes no
-record and exits 1.
+the line count of the checkout's `src/rcc/*.py` (`src_rcc_py_lines`), the
+run's host line (nproc, CPU, numpy, BLAS build and thread count) and its
+final JSON line (correct, attempted, failed and the metrics). A run that
+exits non-zero, or whose last line is not a JSON object, writes no record
+and exits 1.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ def commit_of(checkout: Path) -> str:
     except OSError:  # no git on this host
         return "unknown"
     return result.stdout.strip() or "unknown"
+
+
+def source_lines(checkout: Path) -> int:
+    """Lines of the checkout's `src/rcc/*.py`, counted as `wc -l` does."""
+    sources = (checkout / "src" / "rcc").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in sources)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,6 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         record = {
             "command": command,
             "commit": commit_of(checkout),
+            "src_rcc_py_lines": source_lines(checkout),
             "host": json.loads(host[0]),
             "run": json.loads(lines[-1]),
         }
