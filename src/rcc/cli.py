@@ -63,6 +63,8 @@ _LEARNING_RATE = _checked(
     float, lambda v: math.isfinite(v) and v > 0, "a finite positive number"
 )
 _MOMENTUM = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+# seeds are 64-bit words; a wider int would alias another seed
+_SEED = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 
 def _load_model(path: str) -> net.NetworkParams:
@@ -201,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--count", type=_POSITIVE, default=250)
     p.add_argument("--train", type=_NON_NEGATIVE, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--scenes", type=_NON_NEGATIVE, default=24)
     p.set_defaults(func=cmd_gen)
 
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_LEARNING_RATE, default=0.01)
     p.add_argument("--momentum", type=_MOMENTUM, default=0.9)
     p.add_argument("--batch", type=_POSITIVE, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

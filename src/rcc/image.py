@@ -34,10 +34,17 @@ class PpmTruncatedError(PpmError):
     """Pixel payload is shorter or longer than the header promises."""
 
 
-def round_half_away(values: np.ndarray | float) -> np.ndarray:
-    """Round half away from zero (0.5 -> 1, -0.5 -> -1), as float."""
-    arr = np.asarray(values, dtype=np.float64)
-    return np.sign(arr) * np.floor(np.abs(arr) + 0.5)
+def to_uint8(values: np.ndarray) -> np.ndarray:
+    """Channel values rounded half away from zero and clamped to [0, 255],
+    as uint8; `values`, a float64 array, is rounded in place.
+
+    floor(x + 0.5) rounds half away from zero for x >= 0, and every x
+    below 0.5 clamps to 0 under either rounding.
+    """
+    values += 0.5
+    np.floor(values, out=values)
+    np.clip(values, 0, 255, out=values)
+    return values.astype(np.uint8)
 
 
 def _as_channel_array(pixels: np.ndarray, expect_ndim: int) -> np.ndarray:

@@ -238,7 +238,9 @@ def fill_streams(seeds: Sequence[int], count: int) -> np.ndarray:
 
 def doubles_from(raw: np.ndarray) -> np.ndarray:
     """Uniform float64 samples in [0, 1), one per raw draw."""
-    return (raw >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u *= _DOUBLE_SCALE
+    return u
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:
@@ -264,7 +266,10 @@ def integers_below_from(raw: np.ndarray, bound: int) -> np.ndarray:
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
-    return np.minimum((doubles_from(raw) * bound).astype(np.int64), bound - 1)
+    u = doubles_from(raw)
+    u *= bound
+    values = u.astype(np.int64)
+    return np.minimum(values, bound - 1, out=values)
 
 
 class Xoshiro256StarStar:

@@ -5,6 +5,12 @@ brightness ramp and a cycle of named illuminants, plus full scenes (a
 colored rectangle on a near-white canvas) for end-to-end detection tests.
 Every file is generated from its own PRNG stream derived as seed XOR file
 index, so output is byte-stable and order-independent.
+
+Patches and scenes are rendered in batches: one multi-stream fill gives
+every image's draws, the stack is rounded once, and the images under one
+illuminant are lit in one call. `generate_dataset` renders in blocks of
+at most BLOCK_VALUES channel values, so no count of files builds a
+larger array than that.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ import math
 import operator
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .image import Image, round_half_away, write_ppm
+from .image import Image, to_uint8, write_ppm
 from .net import CLASS_NAMES, INPUT_SIZE
 from .rng import (
     Xoshiro256StarStar,
@@ -59,7 +65,7 @@ BRIGHTNESS_MAX = 1.0
 
 PATCH_SIZE = INPUT_SIZE
 DEFAULT_JITTER = 5
-PATCH_BLOCK = 256  # patches rendered per batch; bounds generate_dataset's memory
+BLOCK_VALUES = 1 << 20  # channel values per render call; bounds generate_dataset's memory
 SCENE_CANVAS = (128, 96)  # (width, height)
 BACKGROUND_LEVEL = 245
 
@@ -114,7 +120,8 @@ def apply_illumination(
     lit /= 255.0
     lit **= spec.gamma
     lit *= 255.0
-    lit = round_half_away(lit)
+    lit += 0.5  # lit >= 0: rounding half away is floor(lit + 0.5)
+    np.floor(lit, out=lit)
     if spec.noise_std > 0:
         size = math.prod(lit.shape[1:])
         # Box-Muller takes uniform pairs; an odd size drops its last sine sample
@@ -123,8 +130,24 @@ def apply_illumination(
         noise *= spec.noise_std
         noise += lit
         del lit
-        lit = round_half_away(noise)
-    return np.clip(lit, 0, 255).astype(np.uint8)
+        lit = noise
+    return to_uint8(lit)
+
+
+def _light(
+    unlit: np.ndarray, specs: Sequence[IlluminationSpec], noise_seeds: Sequence[int]
+) -> np.ndarray:
+    """Image i of `unlit` under specs[i] with noise_seeds[i]; the images
+    under one spec are lit in one call."""
+    groups: dict[IlluminationSpec, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec, []).append(i)
+    lit = np.empty_like(unlit)
+    for spec, group in groups.items():
+        lit[group] = apply_illumination(
+            unlit[group], spec, [noise_seeds[i] for i in group]
+        )
+    return lit
 
 
 def render_patches(
@@ -157,17 +180,53 @@ def render_patches(
     if jitter > 0:
         offsets = integers_below_from(raw[:, :size], 2 * jitter + 1) - jitter
         flat += offsets.reshape(shape)
+    return _light(to_uint8(flat), specs, raw[:, -1].tolist())
+
+
+def render_scenes(
+    colors: Sequence[ColorClass],
+    rects: Sequence[BoundRect],
+    canvas_w: int,
+    canvas_h: int,
+    specs: Sequence[IlluminationSpec],
+    seeds: Sequence[int],
+    jitter: int = DEFAULT_JITTER,
+) -> np.ndarray:
+    """Scenes as one (n, canvas_h, canvas_w, 3) uint8 stack.
+
+    Scene i is a near-white canvas with rects[i] filled by colors[i]'s
+    base color, scaled by a brightness drawn uniformly from the
+    dark-to-light ramp, plus integer jitter of up to +-jitter per channel,
+    then the illumination model of specs[i]. The stream of seeds[i] gives
+    the brightness (its first draw), the jitter (the next canvas size
+    draws) and the noise seed (the draw after them). The scenes under one
+    spec are lit in one call.
+    """
+    if not len(colors) == len(rects) == len(specs) == len(seeds):
+        raise ValueError("one color, rect, spec and seed per scene")
+    for rect in rects:
+        if rect.x + rect.w > canvas_w or rect.y + rect.h > canvas_h:
+            raise ValueError(
+                f"rect {rect} does not fit canvas {canvas_w}x{canvas_h}"
+            )
+    shape = (len(seeds), canvas_h, canvas_w, 3)
+    size = canvas_h * canvas_w * 3
+    raw = fill_streams(seeds, size + 2 if jitter > 0 else 2)
+    brightness = BRIGHTNESS_MIN + (BRIGHTNESS_MAX - BRIGHTNESS_MIN) * doubles_from(raw[:, 0])
     noise_seeds = raw[:, -1].tolist()
-    unlit = np.clip(round_half_away(flat), 0, 255).astype(np.uint8)
-    groups: dict[IlluminationSpec, list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(spec, []).append(i)
-    patches = np.empty_like(unlit)
-    for spec, group in groups.items():
-        patches[group] = apply_illumination(
-            unlit[group], spec, [noise_seeds[i] for i in group]
+    canvas = np.full(shape, float(BACKGROUND_LEVEL))
+    for i, (color, rect) in enumerate(zip(colors, rects)):
+        canvas[i, rect.y : rect.y + rect.h, rect.x : rect.x + rect.w] = (
+            brightness[i] * np.array(color.base_rgb, dtype=np.float64)
         )
-    return patches
+    if jitter > 0:
+        # each whole-stack array is dropped once used, so a large canvas peaks lower
+        offsets = integers_below_from(raw[:, 1 : size + 1], 2 * jitter + 1)
+        del raw
+        offsets -= jitter
+        canvas += offsets.reshape(shape)
+        del offsets
+    return _light(to_uint8(canvas), specs, noise_seeds)
 
 
 def render_scene(
@@ -179,27 +238,10 @@ def render_scene(
     seed: int,
     jitter: int = DEFAULT_JITTER,
 ) -> tuple[Image, BoundRect]:
-    """A colored rectangle on a near-white canvas, then illumination.
-
-    Object brightness is drawn uniformly from the dark-to-light ramp.
-    Returns the scene and the placed rectangle as ground truth.
-    """
-    if rect.x + rect.w > canvas_w or rect.y + rect.h > canvas_h:
-        raise ValueError(
-            f"rect {rect} does not fit canvas {canvas_w}x{canvas_h}"
-        )
-    rng = Xoshiro256StarStar(seed)
-    brightness = BRIGHTNESS_MIN + (BRIGHTNESS_MAX - BRIGHTNESS_MIN) * rng.next_double()
-    canvas = np.full((canvas_h, canvas_w, 3), float(BACKGROUND_LEVEL))
-    canvas[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w] = (
-        brightness * np.array(color.base_rgb, dtype=np.float64)
-    )
-    if jitter > 0:
-        offsets = rng.integers_below(2 * jitter + 1, canvas.size) - jitter
-        canvas += offsets.reshape(canvas.shape)
-    noise_seed = rng.next_uint64()
-    raw = np.clip(round_half_away(canvas), 0, 255).astype(np.uint8)
-    return Image(apply_illumination(raw[None], spec, [noise_seed])[0]), rect
+    """`render_scenes` for one scene; returns the scene and the placed
+    rectangle as ground truth."""
+    pixels = render_scenes([color], [rect], canvas_w, canvas_h, [spec], [seed], jitter)
+    return Image(pixels[0]), rect
 
 
 @dataclass(frozen=True)
@@ -372,6 +414,13 @@ def _spread_picks(n: int, quota: int) -> set[int]:
     return {j for j in range(n) if (j + 1) * quota // n > j * quota // n}
 
 
+def _blocks(count: int, values_per_image: int) -> Iterator[slice]:
+    """Slices that split range(count) into render blocks: each holds at
+    most BLOCK_VALUES channel values, and at least one image."""
+    step = max(1, BLOCK_VALUES // values_per_image)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def _scene_rect(rng: Xoshiro256StarStar, canvas_w: int, canvas_h: int) -> BoundRect:
     # keep the object off the canvas border so blur cannot bleed past it
     margin = 4
@@ -431,40 +480,44 @@ def generate_dataset(
                 seed=derive_stream_seed(seed, i),
             )
         )
-    for start in range(0, total, PATCH_BLOCK):
-        block = records[start : start + PATCH_BLOCK]
+    for block in _blocks(total, PATCH_SIZE * PATCH_SIZE * 3):
+        rows = records[block]
         patches = render_patches(
-            [COLOR_CLASSES[r.class_index] for r in block],
-            [r.brightness_gain for r in block],
-            [ILLUMINANT_PRESETS[r.illuminant_name] for r in block],
-            [r.seed for r in block],
+            [COLOR_CLASSES[r.class_index] for r in rows],
+            [r.brightness_gain for r in rows],
+            [ILLUMINANT_PRESETS[r.illuminant_name] for r in rows],
+            [r.seed for r in rows],
         )
-        for record, pixels in zip(block, patches):
+        for record, pixels in zip(rows, patches):
             (out_dir / record.filename).write_bytes(write_ppm(Image(pixels)))
 
-    scene_records = []
+    # each scene's rect and render seed come from its own file stream
+    scene_records, scene_seeds = [], []
     canvas_w, canvas_h = SCENE_CANVAS
     for s in range(scenes):
         color = COLOR_CLASSES[s % len(COLOR_CLASSES)]
-        illuminant = ILLUMINANT_CYCLE[s % len(ILLUMINANT_CYCLE)]
-        file_seed = derive_stream_seed(seed, total + s)
-        rng = Xoshiro256StarStar(file_seed)
-        rect = _scene_rect(rng, canvas_w, canvas_h)
-        scene, truth = render_scene(
-            color, rect, canvas_w, canvas_h,
-            ILLUMINANT_PRESETS[illuminant], rng.next_uint64(),
-        )
-        filename = f"scene_{s:02d}.ppm"
-        (out_dir / filename).write_bytes(write_ppm(scene))
+        rng = Xoshiro256StarStar(derive_stream_seed(seed, total + s))
         scene_records.append(
             SceneRecord(
-                filename=filename,
+                filename=f"scene_{s:02d}.ppm",
                 class_index=color.index,
                 class_name=color.name,
-                rect=truth,
-                illuminant_name=illuminant,
+                rect=_scene_rect(rng, canvas_w, canvas_h),
+                illuminant_name=ILLUMINANT_CYCLE[s % len(ILLUMINANT_CYCLE)],
             )
         )
+        scene_seeds.append(rng.next_uint64())
+    for block in _blocks(scenes, canvas_w * canvas_h * 3):
+        rows = scene_records[block]
+        pixels = render_scenes(
+            [COLOR_CLASSES[r.class_index] for r in rows],
+            [r.rect for r in rows],
+            canvas_w, canvas_h,
+            [ILLUMINANT_PRESETS[r.illuminant_name] for r in rows],
+            scene_seeds[block],
+        )
+        for record, scene in zip(rows, pixels):
+            (out_dir / record.filename).write_bytes(write_ppm(Image(scene)))
 
     manifest = SampleManifest(records=tuple(records), scenes=tuple(scene_records))
     (out_dir / "manifest.csv").write_text(manifest_to_csv(manifest), encoding="utf-8")

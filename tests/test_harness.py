@@ -531,6 +531,28 @@ class TestCli:
         assert sorted(tmp_path.rglob("*")) == before
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen", "train", "gradcheck"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, capsys, command, seed):
+        """A seed outside [0, 2**64) would alias one inside it."""
+        argv = {
+            "gen": ["gen", "--out", str(tmp_path / "data")],
+            "train": ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt"),
+                      "--metrics", str(tmp_path / "metrics.csv")],
+            "gradcheck": ["gradcheck"],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--seed", seed])
+        assert err.value.code == 1
+        assert list(tmp_path.iterdir()) == []
+        assert f"argument --seed: {seed!r} is not in [0, 2**64)" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        out = tmp_path / "data"
+        argv = ["gen", "--out", str(out), "--count", "7", "--train", "3", "--scenes", "1"]
+        assert cli.main(argv + ["--seed", str(2**64 - 1)]) == 0
+        assert (out / "scene_00.ppm").exists()
+
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as err:
             cli.main([])

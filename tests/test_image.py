@@ -17,9 +17,11 @@ from rcc.image import (
     read_ppm,
     rgb_to_gray,
     rgb_to_hsv,
-    round_half_away,
+    to_uint8,
     write_ppm,
 )
+
+from oracles import round_half_away
 
 
 def rgb_arrays(max_side=16):
@@ -37,6 +39,38 @@ class TestRounding:
     def test_ordinary_values(self):
         vals = np.array([0.49, 0.51, -0.49, 2.0])
         assert round_half_away(vals).tolist() == [0, 1, 0, 2]
+
+
+def clamped_oracle(values):
+    return np.clip(round_half_away(values), 0, 255).astype(np.uint8)
+
+
+class TestToUint8:
+    """`to_uint8` against rounding half away from zero, then clamping."""
+
+    def test_ties_signs_and_range_ends(self):
+        vals = np.array([
+            0.5, -0.5, 1.5, 2.5, 254.5, 255.5, -0.0, 0.0, -1.5, -300.0,
+            0.49999999999999994, 254.49999999999997, 255.0, 256.0, 1e300, -1e300,
+        ])
+        want = clamped_oracle(vals)
+        assert want[:8].tolist() == [1, 0, 2, 3, 255, 255, 0, 0]
+        assert np.array_equal(to_uint8(vals.copy()), want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 64),
+                      elements=st.floats(-600, 600, allow_nan=False)))
+    def test_random_floats(self, vals):
+        want = clamped_oracle(vals)
+        got = to_uint8(vals.copy())
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+    def test_rounds_its_input_in_place(self):
+        vals = np.array([[0.5, -2.5], [7.25, 300.0]])
+        out = to_uint8(vals)
+        assert out.tolist() == [[1, 0], [7, 255]]
+        assert vals.tolist() == [[1.0, 0.0], [7.0, 255.0]]
 
 
 class TestPpm:

@@ -65,9 +65,10 @@ def test_only_synth_imports_csv():
     assert importers == ["synth.py"]
 
 
-# One-sample views of the batched conv and pool that only tests call, as
-# oracles for the acceptance checks.
-ORACLES = {"conv2d_forward", "maxpool_forward"}
+# One-sample views of batched code that only callers outside the package
+# use: the conv and pool, as oracles for the acceptance checks, and
+# `render_scene`, which perfbench's set-up and the golden test call.
+ORACLES = {"conv2d_forward", "maxpool_forward", "render_scene"}
 
 
 def _unused_public_names(paths) -> list[str]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rcc import segment
-from rcc.image import BAND_ROWS, GrayImage, Image, rgb_to_gray, round_half_away
+from rcc.image import BAND_ROWS, GrayImage, Image, rgb_to_gray
 from rcc.rng import Xoshiro256StarStar
 from rcc.segment import (
     BLUR_SIGMA,
@@ -24,6 +24,8 @@ from rcc.segment import (
     label_components,
     sobel_magnitude,
 )
+
+from oracles import round_half_away
 
 
 def random_gray(rng, h, w):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcc import synth
-from rcc.image import Image, read_ppm, round_half_away, rgb_to_hsv, write_ppm
+from rcc.image import Image, read_ppm, rgb_to_hsv, write_ppm
 from rcc.rng import Xoshiro256StarStar, derive_stream_seed
 from rcc.synth import (
     BACKGROUND_LEVEL,
@@ -31,8 +31,11 @@ from rcc.synth import (
     read_manifest,
     render_patches,
     render_scene,
+    render_scenes,
 )
 from rcc.segment import BoundRect
+
+from oracles import round_half_away
 
 
 def flat_image(rgb, w=4, h=4):
@@ -76,6 +79,26 @@ def oracle_render_patch(color, brightness, spec, seed, jitter=DEFAULT_JITTER):
     noise_seed = rng.next_uint64()
     raw = Image(np.clip(round_half_away(flat), 0, 255).astype(np.uint8))
     return oracle_apply_illumination(raw, spec, noise_seed)
+
+
+# The per-scene renderer that `render_scenes` replaced, kept as its oracle.
+def oracle_render_scene(color, rect, canvas_w, canvas_h, spec, seed, jitter=DEFAULT_JITTER):
+    if rect.x + rect.w > canvas_w or rect.y + rect.h > canvas_h:
+        raise ValueError(
+            f"rect {rect} does not fit canvas {canvas_w}x{canvas_h}"
+        )
+    rng = Xoshiro256StarStar(seed)
+    brightness = BRIGHTNESS_MIN + (BRIGHTNESS_MAX - BRIGHTNESS_MIN) * rng.next_double()
+    canvas = np.full((canvas_h, canvas_w, 3), float(BACKGROUND_LEVEL))
+    canvas[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w] = (
+        brightness * np.array(color.base_rgb, dtype=np.float64)
+    )
+    if jitter > 0:
+        offsets = rng.integers_below(2 * jitter + 1, canvas.size) - jitter
+        canvas += offsets.reshape(canvas.shape)
+    noise_seed = rng.next_uint64()
+    raw = Image(np.clip(round_half_away(canvas), 0, 255).astype(np.uint8))
+    return oracle_apply_illumination(raw, spec, noise_seed), rect
 
 
 class TestIllumination:
@@ -199,6 +222,59 @@ class TestBatchRenderer:
         spec = IlluminationSpec()
         with pytest.raises(ValueError, match="brightness 1.5"):
             render_patches(COLOR_CLASSES[:2], [0.5, 1.5], [spec, spec], [0, 1])
+
+
+class TestSceneRenderer:
+    """`render_scenes` against the per-scene oracle, byte for byte."""
+
+    @pytest.mark.parametrize("canvas", [(40, 30), SCENE_CANVAS])
+    @pytest.mark.parametrize("jitter", [0, DEFAULT_JITTER])
+    def test_mixed_illuminants_match_oracle(self, canvas, jitter):
+        specs = [
+            ILLUMINANT_PRESETS["warm"],
+            IlluminationSpec((0.7, 1.1, 1.3), 1.7, 0.0),
+            ILLUMINANT_PRESETS["dim"],
+            ILLUMINANT_PRESETS["warm"],
+            IlluminationSpec((1.2, 0.9, 0.6), 0.6, 2.5),
+        ]
+        colors = [COLOR_CLASSES[i] for i in (0, 5, 3, 2, 4)]
+        rects = [BoundRect(4, 4, 24, 24), BoundRect(0, 0, 1, 1), BoundRect(10, 3, 30, 27),
+                 BoundRect(4, 4, 24, 24), BoundRect(5, 6, 7, 8)]
+        seeds = [3, 2**64 - 1, 77, 3, 2**40 + 7]
+        batch = render_scenes(colors, rects, *canvas, specs, seeds, jitter)
+        assert batch.shape == (len(seeds), canvas[1], canvas[0], 3)
+        assert batch.dtype == np.uint8
+        for i, out in enumerate(batch):
+            expected, _ = oracle_render_scene(
+                colors[i], rects[i], *canvas, specs[i], seeds[i], jitter
+            )
+            assert out.tobytes() == expected.pixels.tobytes(), i
+
+    @pytest.mark.parametrize("jitter", [0, DEFAULT_JITTER])
+    def test_one_scene_matches_oracle(self, jitter):
+        rect = BoundRect(9, 7, 33, 41)
+        spec = ILLUMINANT_PRESETS["bright"]
+        (out,) = render_scenes([COLOR_CLASSES[1]], [rect], *SCENE_CANVAS, [spec], [12], jitter)
+        expected, _ = oracle_render_scene(COLOR_CLASSES[1], rect, *SCENE_CANVAS, spec, 12, jitter)
+        assert out.tobytes() == expected.pixels.tobytes()
+        scene, truth = render_scene(COLOR_CLASSES[1], rect, *SCENE_CANVAS, spec, 12, jitter)
+        assert scene == expected and truth == rect
+
+    def test_no_scenes(self):
+        batch = render_scenes([], [], *SCENE_CANVAS, [], [])
+        assert batch.shape == (0, SCENE_CANVAS[1], SCENE_CANVAS[0], 3)
+        assert batch.dtype == np.uint8
+
+    def test_one_of_each_per_scene(self):
+        spec = IlluminationSpec()
+        with pytest.raises(ValueError, match="per scene"):
+            render_scenes(COLOR_CLASSES[:2], [BoundRect(0, 0, 4, 4)], 8, 8, [spec] * 2, [0, 1])
+
+    def test_any_rect_off_canvas_rejected(self):
+        spec = IlluminationSpec()
+        rects = [BoundRect(0, 0, 4, 4), BoundRect(5, 0, 4, 4)]
+        with pytest.raises(ValueError, match="does not fit canvas 8x8"):
+            render_scenes(COLOR_CLASSES[:2], rects, 8, 8, [spec] * 2, [0, 1])
 
 
 class TestRenderers:
@@ -358,12 +434,17 @@ class TestGenerateDataset:
 
     @pytest.mark.parametrize(
         "total, train, seed, scenes, block",
-        [(7, 3, 5, 2, synth.PATCH_BLOCK), (7, 3, 2**40 + 7, 0, synth.PATCH_BLOCK), (7, 3, 1, 1, 3)],
+        [
+            (7, 3, 5, 2, synth.BLOCK_VALUES),
+            (7, 3, 2**40 + 7, 0, synth.BLOCK_VALUES),
+            # blocks of three patches and of one scene
+            (7, 3, 1, 3, 3 * PATCH_SIZE * PATCH_SIZE * 3),
+        ],
     )
     def test_matches_oracle_loop(self, tmp_path, monkeypatch, total, train, seed, scenes, block):
-        """Every file equals the one the per-patch loop wrote, at counts
+        """Every file equals the one the per-file loop wrote, at counts
         the golden file does not cover and across render blocks."""
-        monkeypatch.setattr(synth, "PATCH_BLOCK", block)
+        monkeypatch.setattr(synth, "BLOCK_VALUES", block)
         manifest = generate_dataset(tmp_path, total=total, train=train, seed=seed, scenes=scenes)
         expected = oracle_dataset(total, train, seed, scenes)
         assert [r.filename for r in manifest.records] + [s.filename for s in manifest.scenes] \
@@ -390,7 +471,7 @@ def oracle_dataset(total, train, seed, scenes):
     for s in range(scenes):
         rng = Xoshiro256StarStar(derive_stream_seed(seed, total + s))
         rect = _scene_rect(rng, *SCENE_CANVAS)
-        scene, _ = render_scene(
+        scene, _ = oracle_render_scene(
             COLOR_CLASSES[s % len(COLOR_CLASSES)], rect, *SCENE_CANVAS,
             ILLUMINANT_PRESETS[ILLUMINANT_CYCLE[s % len(ILLUMINANT_CYCLE)]], rng.next_uint64(),
         )
