@@ -9,6 +9,7 @@ whose logits do).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -195,6 +196,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_NUMERIC
 
 
+@functools.cache  # parsing leaves no state on the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rcc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -1,9 +1,11 @@
 """Deterministic pseudo-random number generation.
 
 Every stochastic choice in this package (weight init, pixel jitter, sensor
-noise, epoch shuffling) flows through the xoshiro256** generator so that a
-given seed reproduces identical bytes on any platform.  Nothing here depends
-on Python's `random` or numpy's generators.
+noise, epoch shuffling) flows through the xoshiro256** generator, and
+nothing here depends on Python's `random` or numpy's generators.  A seed's
+raw draws, uniforms and bounded integers are the same bytes on any platform;
+its normals need numpy's `log`, `sin` and `cos`, whose code numpy picks by
+CPU, so they can differ in the last ulp on another host.
 
 Algorithm constants:
 
@@ -34,10 +36,9 @@ in stream order.  Each stream's state after the fill is taken from its last lane
 The lane length trades the Python cost of each step against the matrix
 cost of each lane: a fill takes the shortest L whose lane count over all
 its streams is at most `_LANE_RATIO` times L (a single 36865-draw stream
-gets L = 96; 250 streams of 3073 draws get L = 384).  Long fills go in
-chunks of at most `_CHUNK_LANES` lanes over all streams to bound memory,
-and fills of fewer than `_LANE_MIN_COUNT` draws in all use the scalar
-step, which costs less than the fixed overhead of the lanes.
+gets L = 96; 250 streams of 3073 draws get L = 384).  A fill runs all its
+lanes in one pass, and fills of fewer than `_LANE_MIN_COUNT` draws in all
+use the scalar step, which costs less than the fixed overhead of the lanes.
 Either way each row is the stream that `next_uint64` draws, bit for bit.
 The uniform and bounded-integer transforms are functions of raw draws
 along the last axis, and Box-Muller a function of the uniforms; the
@@ -70,7 +71,6 @@ def splitmix64(seed: int, count: int) -> list[int]:
 
 _LANE_STEPS = 48  # draws per lane at the shortest lane length
 _LANE_RATIO = 8  # a fill takes the shortest lanes with at most this many lanes per step
-_CHUNK_LANES = 1024  # lanes per chunk; bounds the working memory of a fill
 _LANE_MIN_COUNT = 512  # fills of fewer draws take the scalar step
 _SCRAMBLE_ROWS = 16  # steps of lane history scrambled at a time
 _STATE_BITS = 256
@@ -179,10 +179,10 @@ def _fill_lanes(states: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
     rows = steps if m > 1 else last_steps
     history = np.empty((rows, m, n), dtype=np.uint64)
     flat = history.reshape(rows, m * n)
+    # every lane steps `rows` times; the last lanes' states are taken at `count`
     _step_lanes(s, last_steps, flat)
     after = s[:, (m - 1) * n :].T.copy()
-    if m > 1:
-        _step_lanes(s[:, : (m - 1) * n], steps - last_steps, flat[last_steps:, : (m - 1) * n])
+    _step_lanes(s, rows - last_steps, flat[last_steps:])
     # the scrambler, over blocks of steps so its temporary stays small
     rotated = np.empty((_SCRAMBLE_ROWS, m * n), dtype=np.uint64)
     for row in range(0, rows, _SCRAMBLE_ROWS):
@@ -194,17 +194,9 @@ def _fill_lanes(states: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
         r |= t
         r *= np.uint64(9)
     whole = (m - 1) * steps
-    if m > 1:
-        out[:, :whole].reshape(n, m - 1, steps, copy=False)[...] = history[:, : m - 1].T
+    out[:, :whole].reshape(n, m - 1, rows, copy=False)[...] = history[:, : m - 1].T
     out[:, whole:] = history[:last_steps, m - 1].T
     return after
-
-
-def _chunk_draws(n: int, count: int) -> int:
-    """Draws per stream in each chunk of an n-stream fill of `count`: whole
-    lanes, at most `_CHUNK_LANES` of them over all streams (one per stream
-    when n is larger)."""
-    return max(1, _CHUNK_LANES // n) * (_LANE_STEPS << _lane_level(n, count))
 
 
 def _fill(states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,15 +209,9 @@ def _fill(states: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     after = np.array(states, dtype=np.uint64).reshape(n, 4)
     if n * count < _LANE_MIN_COUNT:
         for i in range(n):
-            draws, state = _scalar_fill([int(w) for w in after[i]], count)
-            out[i] = draws
-            after[i] = state
+            out[i], after[i] = _scalar_fill([int(w) for w in after[i]], count)
         return out, after
-    level = _lane_level(n, count)
-    per_chunk = _chunk_draws(n, count)
-    for start in range(0, count, per_chunk):
-        after = _fill_lanes(after, out[:, start : start + per_chunk], level)
-    return out, after
+    return out, _fill_lanes(after, out, _lane_level(n, count))
 
 
 def fill_streams(seeds: Sequence[int], count: int) -> np.ndarray:

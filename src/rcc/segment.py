@@ -31,7 +31,7 @@ class BinaryMask:
         arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise ValueError(f"mask must be 2-d, got shape {arr.shape}")
-        arr = arr.astype(bool).copy()
+        arr = arr.astype(bool)  # a new array, so no caller can write to it
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 

@@ -7,10 +7,11 @@ Every file is generated from its own PRNG stream derived as seed XOR file
 index, so output is byte-stable and order-independent.
 
 Patches and scenes are rendered in batches: one multi-stream fill gives
-every image's draws, the stack is rounded once, and the images under one
-illuminant are lit in one call. `generate_dataset` renders in blocks of
-at most BLOCK_VALUES channel values, so no count of files builds a
-larger array than that.
+every image's draws, the renderer paints its float stack, and one shared
+tail adds the jitter, rounds the stack once and lights the images under
+one illuminant in one call. `generate_dataset` renders in blocks of at
+most BLOCK_VALUES channel values, so no count of files builds a larger
+array than that.
 """
 
 from __future__ import annotations
@@ -134,11 +135,28 @@ def apply_illumination(
     return to_uint8(lit)
 
 
-def _light(
-    unlit: np.ndarray, specs: Sequence[IlluminationSpec], noise_seeds: Sequence[int]
+def _brightness(value: float) -> float:
+    """`value`, checked to lie in [BRIGHTNESS_MIN, BRIGHTNESS_MAX] (nan does not)."""
+    if not BRIGHTNESS_MIN <= value <= BRIGHTNESS_MAX:
+        raise ValueError(f"brightness {value} outside [{BRIGHTNESS_MIN}, {BRIGHTNESS_MAX}]")
+    return value
+
+
+def _jitter_and_light(
+    canvas: np.ndarray, raw: np.ndarray, specs: Sequence[IlluminationSpec], jitter: int
 ) -> np.ndarray:
-    """Image i of `unlit` under specs[i] with noise_seeds[i]; the images
-    under one spec are lit in one call."""
+    """Image i of the float stack `canvas`, plus integer jitter of up to
+    +-jitter per channel from the draws raw[i, :-1], rounded, then lit under
+    specs[i] with noise seed raw[i, -1], as a uint8 stack. The images under
+    one spec are lit in one call."""
+    if jitter > 0:
+        # the offsets are dropped once added, so a large canvas peaks lower
+        offsets = integers_below_from(raw[:, :-1], 2 * jitter + 1)
+        offsets -= jitter
+        canvas += offsets.reshape(canvas.shape)
+        del offsets
+    unlit = to_uint8(canvas)
+    noise_seeds = raw[:, -1].tolist()
     groups: dict[IlluminationSpec, list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(spec, []).append(i)
@@ -166,21 +184,12 @@ def render_patches(
     """
     if not len(colors) == len(brightness) == len(specs) == len(seeds):
         raise ValueError("one color, brightness, spec and seed per patch")
-    for b in brightness:
-        if not BRIGHTNESS_MIN <= b <= BRIGHTNESS_MAX:
-            raise ValueError(
-                f"brightness {b} outside [{BRIGHTNESS_MIN}, {BRIGHTNESS_MAX}]"
-            )
-    shape = (len(seeds), PATCH_SIZE, PATCH_SIZE, 3)
-    size = PATCH_SIZE * PATCH_SIZE * 3
-    raw = fill_streams(seeds, size + 1 if jitter > 0 else 1)
     rgb = np.array([c.base_rgb for c in colors], dtype=np.float64).reshape(-1, 3)
-    base = np.array(brightness, dtype=np.float64)[:, None] * rgb
-    flat = np.broadcast_to(base[:, None, None, :], shape).copy()
-    if jitter > 0:
-        offsets = integers_below_from(raw[:, :size], 2 * jitter + 1) - jitter
-        flat += offsets.reshape(shape)
-    return _light(to_uint8(flat), specs, raw[:, -1].tolist())
+    base = np.array([_brightness(b) for b in brightness], dtype=np.float64)[:, None] * rgb
+    shape = (len(seeds), PATCH_SIZE, PATCH_SIZE, 3)
+    raw = fill_streams(seeds, PATCH_SIZE * PATCH_SIZE * 3 + 1 if jitter > 0 else 1)
+    canvas = np.broadcast_to(base[:, None, None, :], shape).copy()
+    return _jitter_and_light(canvas, raw, specs, jitter)
 
 
 def render_scenes(
@@ -209,24 +218,14 @@ def render_scenes(
             raise ValueError(
                 f"rect {rect} does not fit canvas {canvas_w}x{canvas_h}"
             )
-    shape = (len(seeds), canvas_h, canvas_w, 3)
-    size = canvas_h * canvas_w * 3
-    raw = fill_streams(seeds, size + 2 if jitter > 0 else 2)
+    raw = fill_streams(seeds, canvas_h * canvas_w * 3 + 2 if jitter > 0 else 2)
     brightness = BRIGHTNESS_MIN + (BRIGHTNESS_MAX - BRIGHTNESS_MIN) * doubles_from(raw[:, 0])
-    noise_seeds = raw[:, -1].tolist()
-    canvas = np.full(shape, float(BACKGROUND_LEVEL))
+    canvas = np.full((len(seeds), canvas_h, canvas_w, 3), float(BACKGROUND_LEVEL))
     for i, (color, rect) in enumerate(zip(colors, rects)):
         canvas[i, rect.y : rect.y + rect.h, rect.x : rect.x + rect.w] = (
             brightness[i] * np.array(color.base_rgb, dtype=np.float64)
         )
-    if jitter > 0:
-        # each whole-stack array is dropped once used, so a large canvas peaks lower
-        offsets = integers_below_from(raw[:, 1 : size + 1], 2 * jitter + 1)
-        del raw
-        offsets -= jitter
-        canvas += offsets.reshape(shape)
-        del offsets
-    return _light(to_uint8(canvas), specs, noise_seeds)
+    return _jitter_and_light(canvas, raw[:, 1:], specs, jitter)
 
 
 def render_scene(
@@ -356,11 +355,21 @@ def _class_index(row: dict) -> int:
     return index
 
 
+def _illuminant(row: dict) -> str:
+    """The row's illuminant name, checked against the presets."""
+    name = row["illuminant_name"]
+    if name not in ILLUMINANT_PRESETS:
+        raise ValueError(f"unknown illuminant {name!r}")
+    return name
+
+
 def _sample_record(row: dict) -> SampleRecord:
-    filename, _, name, split, gain, illuminant, seed = row.values()
-    return SampleRecord(
-        filename, _class_index(row), name, split, float(gain), illuminant, int(seed)
-    )
+    filename, _, name, split, gain, _, seed = row.values()
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    return SampleRecord(filename, _class_index(row), name, split,
+                        _brightness(float(gain)), _illuminant(row), seed)
 
 
 def _scene_record(row: dict) -> SceneRecord:
@@ -369,7 +378,7 @@ def _scene_record(row: dict) -> SceneRecord:
         class_index=_class_index(row),
         class_name=row["class_name"],
         rect=BoundRect(int(row["x"]), int(row["y"]), int(row["w"]), int(row["h"])),
-        illuminant_name=row["illuminant_name"],
+        illuminant_name=_illuminant(row),
     )
 
 
@@ -378,8 +387,10 @@ def read_manifest(data_dir: str | Path) -> SampleManifest:
 
     Raises ValueError on unexpected columns, a row with missing, extra or
     malformed fields, a class index outside the class table, a class name
-    that does not match its index, an unknown split, or a filename already
-    listed in either file; a row's error names its file and line.
+    that does not match its index, an unknown split or illuminant, a
+    brightness outside [BRIGHTNESS_MIN, BRIGHTNESS_MAX], a seed outside
+    [0, 2**64), or a filename already listed in either file; a row's error
+    names its file and line.
     """
     data_dir = Path(data_dir)
     first_seen: dict[str, str] = {}

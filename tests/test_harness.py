@@ -465,6 +465,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "manifest.csv line 4: could not convert string to float: 'abc'" in err
 
+    @pytest.mark.parametrize("csv_name, column, value, message", [
+        ("manifest.csv", 4, "nan", "brightness nan outside [0.2, 1.0]"),
+        ("manifest.csv", 4, "1.5", "brightness 1.5 outside [0.2, 1.0]"),
+        ("manifest.csv", 5, "moonlight", "unknown illuminant 'moonlight'"),
+        ("manifest.csv", 6, "-5", "seed -5 outside [0, 2**64)"),
+        ("manifest.csv", 6, str(2**64), f"seed {2**64} outside [0, 2**64)"),
+        ("scenes.csv", 7, "moonlight", "unknown illuminant 'moonlight'"),
+    ], ids=["brightness-nan", "brightness-high", "illuminant", "seed-negative",
+            "seed-wide", "scene-illuminant"])
+    def test_bad_manifest_field_is_io_error(
+        self, tmp_path, capsys, csv_name, column, value, message
+    ):
+        data = tmp_path / "data"
+        model = tmp_path / "model.ckpt"
+        ranges = tmp_path / "ranges.csv"
+        generate_dataset(data, total=12, train=6, seed=0, scenes=1)
+        model.write_bytes(save_checkpoint(init_params(0)))
+        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        path = data / csv_name
+        path.write_text(
+            "\n".join(_set_field(path.read_text().splitlines(), 2, column, value)) + "\n"
+        )
+        for argv in (
+            ["train", "--out", str(model), "--metrics", str(tmp_path / "m.csv"),
+             "--epochs", "1"],
+            ["eval", "--model", str(model), "--report", str(tmp_path / "r.json")],
+            ["baseline", "--ranges", str(tmp_path / "fit.csv"), "--calibrate"],
+            ["compare", "--model", str(model), "--ranges", str(ranges),
+             "--out", str(tmp_path / "sweep.csv")],
+        ):
+            assert cli.main(argv + ["--data", str(data)]) == 3, argv[0]
+            assert f"{csv_name} line 2: {message}" in capsys.readouterr().err, argv[0]
+        assert not (tmp_path / "fit.csv").exists()
+
     def test_unknown_split_names_file_and_line(self, tmp_path, capsys):
         data = tmp_path / "data"
         generate_dataset(data, total=12, train=6, seed=0, scenes=0)
@@ -563,6 +597,23 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             cli.main(["gen"])  # --out is required
         assert err.value.code == 1
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """Calls in one process share a parser; no call's arguments or
+        error carry over to the next."""
+        with pytest.raises(SystemExit) as err:
+            cli.main(["gen", "--out", str(tmp_path / "bad"), "--count", "0"])
+        assert err.value.code == 1
+        assert not (tmp_path / "bad").exists()
+        small = ["--count", "12", "--train", "6", "--scenes", "1"]
+        assert cli.main(["gen", "--out", str(tmp_path / "a"), "--seed", "5"] + small) == 0
+        assert cli.main(["gen", "--out", str(tmp_path / "b")] + small) == 0
+        assert read_manifest(tmp_path / "a").records[1].seed == 5 ^ 1
+        assert read_manifest(tmp_path / "b").records[1].seed == 1
+        assert cli.main(["baseline", "--data", str(tmp_path / "b"),
+                         "--ranges", str(tmp_path / "r.csv"), "--calibrate"]) == 0
+        assert "calibrated ranges" in capsys.readouterr().out
+        assert cli.build_parser() is cli.build_parser()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as err:

@@ -64,13 +64,13 @@ def _scalar_draws(seed, count):
 
 _SHORT = rng_mod._LANE_MIN_COUNT
 _LANE = rng_mod._LANE_STEPS
-_CHUNK = rng_mod._CHUNK_LANES * rng_mod._LANE_STEPS
+_LARGE = 1024 * _LANE
 # empty and one-draw fills, both sides of the short-fill threshold, whole
-# and ragged last lanes, both sides of a chunk, and three chunks
+# and ragged last lanes, and fills of about 1024 and 2048 shortest lanes
 LANE_EDGE_COUNTS = [
     0, 1, _SHORT - 1, _SHORT, _SHORT + 1,
     _LANE * 64 - 1, _LANE * 64, _LANE * 64 + 1,
-    _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7,
+    _LARGE - 1, _LARGE, _LARGE + 1, 2 * _LARGE + 7,
 ]
 
 
@@ -82,6 +82,16 @@ def test_fill_uint64_lanes_match_scalar_stream(count):
     assert out.dtype == np.uint64
     assert out.tolist() == expected
     assert rng._s == state
+
+
+@pytest.mark.parametrize("first", [1, _SHORT - 1, _LARGE + 1, 460_800, 921_599])
+def test_fill_uint64_continues_where_the_last_fill_stopped(first):
+    # the second fill starts from the state the first one left, lanes or not
+    rng = Xoshiro256StarStar(31)
+    parts = [rng.fill_uint64(first), rng.fill_uint64(921_600 - first)]
+    whole = Xoshiro256StarStar(31)
+    assert np.array_equal(np.concatenate(parts), whole.fill_uint64(921_600))
+    assert rng._s == whole._s
 
 
 @settings(max_examples=25, deadline=None)
@@ -96,14 +106,14 @@ def test_fill_uint64_any_seed_and_count(seed, count):
 def _edge_counts(n):
     """Per-stream counts on both sides of each place where an n-stream fill
     changes path: the scalar threshold, the first count of each lane-length
-    level, whole and ragged lanes of each level, and a chunk of each level."""
+    level, and whole and ragged lanes of each level."""
     limit = (1 << 20) // n  # bounds the scalar reference's draws
     edges = {-(-_SHORT // n)}
     for level in range(1, 5):
         edges.add(bisect.bisect_left(range(limit), level,
                                      key=lambda c: rng_mod._lane_level(n, c)))
         lane = _LANE << level
-        edges.update((lane, 3 * lane, max(1, rng_mod._CHUNK_LANES // n) * lane))
+        edges.update((lane, 3 * lane))
     return sorted({c + d for c in edges for d in (-1, 0, 1) if 0 <= c + d < limit})
 
 
@@ -137,7 +147,6 @@ def test_edge_counts_reach_every_path(n):
     counts = _edge_counts(n)
     assert n * min(counts) < _SHORT
     assert {rng_mod._lane_level(n, c) for c in counts} >= {0, 1, 2, 3}
-    assert any(c > rng_mod._chunk_draws(n, c) for c in counts)
 
 
 def test_fill_streams_rows_are_fresh_streams():
@@ -177,7 +186,7 @@ def test_normals_at_lane_counts_match_scalar_draws():
 
 
 def test_integers_below_at_lane_counts_match_scalar_draws():
-    count = _CHUNK + 1
+    count = _LARGE + 1
     raw, _ = _scalar_draws(17, count)
     expected = [min(int((x >> 11) * 2.0**-53 * 11), 10) for x in raw]
     assert Xoshiro256StarStar(17).integers_below(11, count).tolist() == expected

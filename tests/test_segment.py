@@ -494,3 +494,15 @@ class TestBoundRect:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             BoundRect(0, 0, 0, 5)
+
+
+class TestBinaryMask:
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_mask_is_a_read_only_copy(self, dtype):
+        source = np.eye(3, dtype=dtype)
+        mask = BinaryMask(source)
+        source[0, 1] = 1
+        assert mask.bits.dtype == bool
+        assert mask.bits.tolist() == np.eye(3, dtype=bool).tolist()
+        with pytest.raises(ValueError):
+            mask.bits[0, 0] = False
