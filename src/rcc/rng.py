@@ -29,9 +29,10 @@ split into lanes of L consecutive draws, L = ``_LANE_STEPS * 2**k``: lane
 j starts ``j * L`` steps into its stream.  The lane start states come by
 doubling: with lanes 0..m-1 of every stream known, lanes m..2m-1 are one
 float32 matrix product with the cached ``T**(L * m)``, reduced mod 2.
-All lanes then step L times as uint64 vectors, the scrambler runs over
-the ``s1`` history a block of steps at a time, and the lanes are laid out
-in stream order.  Each stream's state after the fill is taken from its last lane.
+All lanes then step L times as uint64 vectors, `_SCRAMBLE_ROWS` steps at
+a time: each block's ``s1`` values are scrambled and written to their
+lanes' places in the output as the lanes step, so no history of the whole
+fill is kept.  Each stream's state after the fill is taken from its last lane.
 
 The lane length trades the Python cost of each step against the matrix
 cost of each lane: a fill takes the shortest L whose lane count over all
@@ -72,7 +73,7 @@ def splitmix64(seed: int, count: int) -> list[int]:
 _LANE_STEPS = 48  # draws per lane at the shortest lane length
 _LANE_RATIO = 8  # a fill takes the shortest lanes with at most this many lanes per step
 _LANE_MIN_COUNT = 512  # fills of fewer draws take the scalar step
-_SCRAMBLE_ROWS = 16  # steps of lane history scrambled at a time
+_SCRAMBLE_ROWS = 16  # lane steps scrambled and written out at a time
 _STATE_BITS = 256
 
 # _jumps[i] is T**(_LANE_STEPS * 2**i) in row form (a state's bit row times
@@ -177,25 +178,27 @@ def _fill_lanes(states: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
     s = _bits_to_words(bits)
     last_steps = count - (m - 1) * steps
     rows = steps if m > 1 else last_steps
-    history = np.empty((rows, m, n), dtype=np.uint64)
-    flat = history.reshape(rows, m * n)
-    # every lane steps `rows` times; the last lanes' states are taken at `count`
-    _step_lanes(s, last_steps, flat)
-    after = s[:, (m - 1) * n :].T.copy()
-    _step_lanes(s, rows - last_steps, flat[last_steps:])
-    # the scrambler, over blocks of steps so its temporary stays small
-    rotated = np.empty((_SCRAMBLE_ROWS, m * n), dtype=np.uint64)
-    for row in range(0, rows, _SCRAMBLE_ROWS):
-        r = flat[row : row + _SCRAMBLE_ROWS]
-        t = rotated[: len(r)]
+    whole = (m - 1) * steps
+    # every lane steps `rows` times, a block of steps at a time, whose s1 values are
+    # scrambled into `out`; the last lanes' states are taken at `count`, a block edge
+    block = np.empty((_SCRAMBLE_ROWS, m * n), dtype=np.uint64)
+    rotated = np.empty_like(block)
+    edges = sorted({*range(0, rows, _SCRAMBLE_ROWS), last_steps, rows})
+    for start, stop in zip(edges, edges[1:]):
+        r = block[: stop - start]
+        t = rotated[: stop - start]
+        _step_lanes(s, stop - start, r)
+        if stop == last_steps:
+            after = s[:, (m - 1) * n :].T.copy()
         r *= np.uint64(5)
         np.right_shift(r, np.uint64(57), out=t)
         r <<= np.uint64(7)
         r |= t
         r *= np.uint64(9)
-    whole = (m - 1) * steps
-    out[:, :whole].reshape(n, m - 1, rows, copy=False)[...] = history[:, : m - 1].T
-    out[:, whole:] = history[:last_steps, m - 1].T
+        r = r.reshape(-1, m, n)
+        out[:, :whole].reshape(n, m - 1, steps, copy=False)[:, :, start:stop] = r[:, : m - 1].T
+        if stop <= last_steps:
+            out[:, whole + start : whole + stop] = r[:, m - 1].T
     return after
 
 

@@ -8,10 +8,11 @@ index, so output is byte-stable and order-independent.
 
 Patches and scenes are rendered in batches: one multi-stream fill gives
 every image's draws, the renderer paints its float stack, and one shared
-tail adds the jitter, rounds the stack once and lights the images under
-one illuminant in one call. `generate_dataset` renders in blocks of at
-most BLOCK_VALUES channel values, so no count of files builds a larger
-array than that.
+tail adds the jitter, rounds the stack and lights the images under one
+illuminant in one call. `generate_dataset` renders in blocks of at most
+BLOCK_VALUES channel values, so no count of files draws a larger array
+than that; the tail and the lighting work in chunks of CHUNK_VALUES
+values, so only the painted canvas is a whole-stack float array.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ BRIGHTNESS_MAX = 1.0
 PATCH_SIZE = INPUT_SIZE
 DEFAULT_JITTER = 5
 BLOCK_VALUES = 1 << 20  # channel values per render call; bounds generate_dataset's memory
+CHUNK_VALUES = 3 << 14  # channel values per float array of a render: whole pixels and pairs
 SCENE_CANVAS = (128, 96)  # (width, height)
 BACKGROUND_LEVEL = 245
 
@@ -107,32 +109,39 @@ def apply_illumination(
 ) -> np.ndarray:
     """Per channel: out = clamp(round(255*(gain*c/255)^gamma) + noise).
 
-    `pixels` is a stack of images, (n, h, w, 3) uint8, lit as one array.
-    Image i's noise is Gaussian with the spec's std, drawn row-major from
-    a stream seeded with noise_seeds[i]; std 0 draws nothing.
+    `pixels` is a stack of images, (n, h, w, 3) uint8, lit a chunk of at
+    most CHUNK_VALUES values at a time. Image i's noise is Gaussian with
+    the spec's std, drawn row-major from a stream seeded with
+    noise_seeds[i]; std 0 draws nothing.
     """
     if len(noise_seeds) != len(pixels):
         raise ValueError(f"{len(noise_seeds)} noise seeds for {len(pixels)} images")
-    # in place, each whole-image array dropped before the next is made, so
-    # a large image peaks lower; every value sees the formula's operations
-    # in the same order
-    lit = pixels.astype(np.float64)
-    lit *= np.array(spec.gain, dtype=np.float64)
-    lit /= 255.0
-    lit **= spec.gamma
-    lit *= 255.0
-    lit += 0.5  # lit >= 0: rounding half away is floor(lit + 0.5)
-    np.floor(lit, out=lit)
+    n, count = len(pixels), math.prod(pixels.shape[1:-1])
+    images = pixels.reshape(n, count, 3)
+    out = np.empty(images.shape, dtype=np.uint8)
     if spec.noise_std > 0:
-        size = math.prod(lit.shape[1:])
         # Box-Muller takes uniform pairs; an odd size drops its last sine sample
-        noise = box_muller(doubles_from(fill_streams(noise_seeds, size + size % 2)))
-        noise = noise[:, :size].reshape(lit.shape)
-        noise *= spec.noise_std
-        noise += lit
-        del lit
-        lit = noise
-    return to_uint8(lit)
+        raw = fill_streams(noise_seeds, 3 * count + count % 2)
+    # a chunk is whole images or a run of one image's pixels; the last run
+    # of an odd-size image takes its extra draw
+    step = CHUNK_VALUES // 3
+    rows = max(1, step // max(count, 1))
+    for i in range(0, n, rows):
+        for j in range(0, count, step):
+            chunk = np.s_[i : i + rows, j : j + step]
+            lit = images[chunk].astype(np.float64)
+            lit *= np.array(spec.gain, dtype=np.float64)
+            lit /= 255.0
+            lit **= spec.gamma
+            lit *= 255.0
+            lit += 0.5  # lit >= 0: rounding half away is floor(lit + 0.5)
+            np.floor(lit, out=lit)
+            if spec.noise_std > 0:
+                uniforms = doubles_from(raw[i : i + rows, 3 * j : 3 * j + CHUNK_VALUES])
+                noise = box_muller(uniforms)[:, : 3 * lit.shape[1]].reshape(lit.shape)
+                lit += noise * spec.noise_std
+            out[chunk] = to_uint8(lit)
+    return out.reshape(pixels.shape)
 
 
 def _brightness(value: float) -> float:
@@ -143,28 +152,39 @@ def _brightness(value: float) -> float:
 
 
 def _jitter_and_light(
-    canvas: np.ndarray, raw: np.ndarray, specs: Sequence[IlluminationSpec], jitter: int
+    paint: Callable[[], tuple[np.ndarray, np.ndarray]],
+    specs: Sequence[IlluminationSpec],
+    jitter: int,
 ) -> np.ndarray:
-    """Image i of the float stack `canvas`, plus integer jitter of up to
-    +-jitter per channel from the draws raw[i, :-1], rounded, then lit under
-    specs[i] with noise seed raw[i, -1], as a uint8 stack. The images under
-    one spec are lit in one call."""
-    if jitter > 0:
-        # the offsets are dropped once added, so a large canvas peaks lower
-        offsets = integers_below_from(raw[:, :-1], 2 * jitter + 1)
-        offsets -= jitter
-        canvas += offsets.reshape(canvas.shape)
-        del offsets
-    unlit = to_uint8(canvas)
+    """Image i of the (n, pixels, 3) float stack from ``canvas, raw = paint()``,
+    plus integer jitter of up to +-jitter per channel from the draws raw[i, :-1],
+    rounded a chunk at a time, then lit under specs[i] with noise seed raw[i, -1],
+    as uint8. Only this call holds `canvas` and `raw`, so both are dropped
+    before the images under each spec are lit in one call."""
+    canvas, raw = paint()
+    n, count = canvas.shape[:2]
+    unlit = np.empty(canvas.shape, dtype=np.uint8)
+    step = CHUNK_VALUES // 3
+    rows = max(1, step // max(count, 1))
+    for i in range(0, n, rows):
+        for j in range(0, count, step):
+            chunk = np.s_[i : i + rows, j : j + step]
+            values = canvas[chunk].astype(np.float64)
+            if jitter > 0:
+                offsets = integers_below_from(
+                    raw[i : i + rows, :-1][:, 3 * j : 3 * j + CHUNK_VALUES], 2 * jitter + 1
+                )
+                offsets -= jitter
+                values += offsets.reshape(values.shape)
+            unlit[chunk] = to_uint8(values)
     noise_seeds = raw[:, -1].tolist()
+    del canvas, raw
     groups: dict[IlluminationSpec, list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(spec, []).append(i)
     lit = np.empty_like(unlit)
     for spec, group in groups.items():
-        lit[group] = apply_illumination(
-            unlit[group], spec, [noise_seeds[i] for i in group]
-        )
+        lit[group] = apply_illumination(unlit[group], spec, [noise_seeds[i] for i in group])
     return lit
 
 
@@ -186,10 +206,13 @@ def render_patches(
         raise ValueError("one color, brightness, spec and seed per patch")
     rgb = np.array([c.base_rgb for c in colors], dtype=np.float64).reshape(-1, 3)
     base = np.array([_brightness(b) for b in brightness], dtype=np.float64)[:, None] * rgb
-    shape = (len(seeds), PATCH_SIZE, PATCH_SIZE, 3)
-    raw = fill_streams(seeds, PATCH_SIZE * PATCH_SIZE * 3 + 1 if jitter > 0 else 1)
-    canvas = np.broadcast_to(base[:, None, None, :], shape).copy()
-    return _jitter_and_light(canvas, raw, specs, jitter)
+    shape = (len(seeds), PATCH_SIZE * PATCH_SIZE, 3)
+
+    def paint():  # the canvas is a view; only the draws take memory
+        raw = fill_streams(seeds, PATCH_SIZE * PATCH_SIZE * 3 + 1 if jitter > 0 else 1)
+        return np.broadcast_to(base[:, None, :], shape), raw
+
+    return _jitter_and_light(paint, specs, jitter).reshape(len(seeds), PATCH_SIZE, PATCH_SIZE, 3)
 
 
 def render_scenes(
@@ -218,14 +241,18 @@ def render_scenes(
             raise ValueError(
                 f"rect {rect} does not fit canvas {canvas_w}x{canvas_h}"
             )
-    raw = fill_streams(seeds, canvas_h * canvas_w * 3 + 2 if jitter > 0 else 2)
-    brightness = BRIGHTNESS_MIN + (BRIGHTNESS_MAX - BRIGHTNESS_MIN) * doubles_from(raw[:, 0])
-    canvas = np.full((len(seeds), canvas_h, canvas_w, 3), float(BACKGROUND_LEVEL))
-    for i, (color, rect) in enumerate(zip(colors, rects)):
-        canvas[i, rect.y : rect.y + rect.h, rect.x : rect.x + rect.w] = (
-            brightness[i] * np.array(color.base_rgb, dtype=np.float64)
-        )
-    return _jitter_and_light(canvas, raw[:, 1:], specs, jitter)
+
+    def paint():
+        raw = fill_streams(seeds, canvas_h * canvas_w * 3 + 2 if jitter > 0 else 2)
+        brightness = BRIGHTNESS_MIN + (BRIGHTNESS_MAX - BRIGHTNESS_MIN) * doubles_from(raw[:, 0])
+        canvas = np.full((len(seeds), canvas_h, canvas_w, 3), float(BACKGROUND_LEVEL))
+        for i, (color, rect) in enumerate(zip(colors, rects)):
+            canvas[i, rect.y : rect.y + rect.h, rect.x : rect.x + rect.w] = (
+                brightness[i] * np.array(color.base_rgb, dtype=np.float64)
+            )
+        return canvas.reshape(len(seeds), canvas_h * canvas_w, 3), raw[:, 1:]
+
+    return _jitter_and_light(paint, specs, jitter).reshape(len(seeds), canvas_h, canvas_w, 3)
 
 
 def render_scene(

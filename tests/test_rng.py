@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from rcc import rng as rng_mod
 from rcc.rng import Xoshiro256StarStar, derive_stream_seed, fill_streams, splitmix64
 
+from oracles import second_call_peak
+
 # Published reference outputs for splitmix64 (seed 0 and seed 42).
 SPLITMIX_SEED0 = [
     0xE220A8397B1DCDAF,
@@ -155,6 +157,14 @@ def test_fill_streams_rows_are_fresh_streams():
     for seed, row in zip(seeds, out):
         assert row.tolist() == Xoshiro256StarStar(seed).fill_uint64(_LANE * 64 + 5).tolist()
     assert fill_streams([], 3).shape == (0, 3)
+
+
+def test_large_fill_holds_no_lane_history():
+    # a 640x480 image's noise draws: a (steps, lanes) history of the whole
+    # fill would cost as much again as the output
+    count = 640 * 480 * 3
+    peak = second_call_peak(lambda: fill_streams([5], count))
+    assert peak <= count * 8 + 5 * 2**20
 
 
 @pytest.mark.parametrize("draw", [

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcc import synth
 from rcc.image import Image, read_ppm, rgb_to_hsv, write_ppm
@@ -35,7 +35,7 @@ from rcc.synth import (
 )
 from rcc.segment import BoundRect
 
-from oracles import round_half_away
+from oracles import round_half_away, second_call_peak
 
 
 def flat_image(rgb, w=4, h=4):
@@ -275,6 +275,106 @@ class TestSceneRenderer:
         rects = [BoundRect(0, 0, 4, 4), BoundRect(5, 0, 4, 4)]
         with pytest.raises(ValueError, match="does not fit canvas 8x8"):
             render_scenes(COLOR_CLASSES[:2], rects, 8, 8, [spec] * 2, [0, 1])
+
+
+# pixels per render chunk: images of EDGE +- 1 or 2 pixels end a value or a
+# Box-Muller pair past (or short of) a chunk edge, and EDGE // k pixels put
+# k images in a chunk
+EDGE = synth.CHUNK_VALUES // 3
+EDGE_COUNTS = [EDGE - 2, EDGE - 1, EDGE, EDGE + 1, EDGE + 2, 2 * EDGE + 1]
+LIGHTS = [*PRESET_NAMES, "gamma 1.6"]
+
+
+def light(name):
+    if name == "gamma 1.6":
+        return IlluminationSpec((0.7, 1.1, 1.3), 1.6, 0.0)
+    return ILLUMINANT_PRESETS[name]
+
+
+@st.composite
+def chunk_stacks(draw):
+    """(n, h, w) of an image stack whose images are small, odd-sized, one
+    pixel, or at a chunk edge, with at most a few chunks' worth of pixels."""
+    count = draw(st.one_of(
+        st.integers(1, 40),
+        st.sampled_from(EDGE_COUNTS),
+        st.integers(1, 70).flatmap(lambda k: st.sampled_from([EDGE // k - 1, EDGE // k, EDGE // k + 1])),
+    ))
+    n = draw(st.integers(0, min(70, 4 * EDGE // count)))
+    h = draw(st.sampled_from([d for d in (1, 2, 3) if count % d == 0]))
+    return n, h, count // h
+
+
+class TestChunkEdges:
+    """The chunked renderers against their oracles where a chunk ends."""
+
+    def test_chunks_hold_whole_pixels_and_pairs(self):
+        assert synth.CHUNK_VALUES % 6 == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(chunk_stacks(), st.sampled_from(LIGHTS), st.integers(0, 2**64 - 1))
+    @example((1, 1, 1), "identity", 5)
+    @example((3, 1, EDGE + 1), "dim", 6)
+    @example((2, 1, EDGE - 1), "warm", 7)
+    @example((1, 2, EDGE // 2 + 1), "bright", 8)
+    @example((2, 1, 2 * EDGE + 1), "gamma 1.6", 9)
+    @example((70, 1, EDGE // 35 + 1), "cool", 10)
+    def test_stack_matches_per_image_oracle(self, stack, name, seed):
+        n, h, w = stack
+        draws = np.random.default_rng(seed)
+        pixels = draws.integers(0, 256, (n, h, w, 3), dtype=np.uint8)
+        seeds = [int(s) for s in draws.integers(0, 2**63, n)]
+        lit = apply_illumination(pixels, light(name), seeds)
+        assert lit.shape == pixels.shape and lit.dtype == np.uint8
+        for img, noise_seed, out in zip(pixels, seeds, lit):
+            expected = oracle_apply_illumination(Image(img), light(name), noise_seed)
+            assert out.tobytes() == expected.pixels.tobytes()
+
+    @pytest.mark.parametrize("n", [EDGE // 1024 - 1, EDGE // 1024, EDGE // 1024 + 1, 70])
+    @pytest.mark.parametrize("jitter", [0, DEFAULT_JITTER])
+    def test_patch_blocks_across_chunks_match_oracle(self, n, jitter):
+        colors = [COLOR_CLASSES[i % 6] for i in range(n)]
+        brightness = [BRIGHTNESS_MIN + 0.8 * i / n for i in range(n)]
+        specs = [light(LIGHTS[i % len(LIGHTS)]) for i in range(n)]
+        seeds = [2**64 - 1 - 7 * i for i in range(n)]
+        batch = render_patches(colors, brightness, specs, seeds, jitter)
+        for i, out in enumerate(batch):
+            expected = oracle_render_patch(colors[i], brightness[i], specs[i], seeds[i], jitter)
+            assert out.tobytes() == expected.pixels.tobytes(), i
+
+    @pytest.mark.parametrize("canvas", [(EDGE + 1, 1), (EDGE // 2 - 1, 2), (EDGE // 2 + 1, 2),
+                                        (EDGE // 8, 3), (640, 480)])
+    @pytest.mark.parametrize("jitter", [0, DEFAULT_JITTER])
+    def test_scenes_across_chunks_match_oracle(self, canvas, jitter):
+        w, h = canvas
+        n = 1 if w * h > EDGE else 4
+        colors = [COLOR_CLASSES[i] for i in range(n)]
+        rects = [BoundRect(i, 0, w // 2, 1) for i in range(n)]
+        specs = [light(LIGHTS[3 * i % len(LIGHTS)]) for i in range(n)]
+        seeds = [31 + i for i in range(n)]
+        batch = render_scenes(colors, rects, w, h, specs, seeds, jitter)
+        for i, out in enumerate(batch):
+            expected, _ = oracle_render_scene(colors[i], rects[i], w, h, specs[i], seeds[i], jitter)
+            assert out.tobytes() == expected.pixels.tobytes(), i
+
+
+class TestMemoryBounds:
+    """A render holds no whole-image float copies, so these traced peaks
+    stay far below what whole-stack float arrays cost (a 640x480 render
+    traced 46-54 MB when it held them, a default dataset 28-29 MB)."""
+
+    @pytest.mark.parametrize("jitter", [0, DEFAULT_JITTER])
+    def test_large_scene(self, jitter):
+        rect = BoundRect(100, 80, 200, 150)
+        spec = ILLUMINANT_PRESETS["warm"]
+        peak = second_call_peak(
+            lambda: render_scene(COLOR_CLASSES[2], rect, 640, 480, spec, 7, jitter)
+        )
+        assert peak <= 32e6
+
+    def test_default_dataset(self, tmp_path):
+        peak = second_call_peak(lambda: generate_dataset(tmp_path))
+        assert peak <= 24e6
 
 
 class TestRenderers:
