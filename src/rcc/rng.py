@@ -176,9 +176,9 @@ def _fill_lanes(states: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
         known += k
         jump += 1
     s = _bits_to_words(bits)
-    last_steps = count - (m - 1) * steps
-    rows = steps if m > 1 else last_steps
     whole = (m - 1) * steps
+    last_steps = count - whole
+    rows = steps if m > 1 else last_steps
     # every lane steps `rows` times, a block of steps at a time, whose s1 values are
     # scrambled into `out`; the last lanes' states are taken at `count`, a block edge
     block = np.empty((_SCRAMBLE_ROWS, m * n), dtype=np.uint64)
