@@ -134,9 +134,17 @@ def _bits_to_words(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed.view("<u8").T, dtype=np.uint64)
 
 
-def _mod2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # sums of at most 256 ones are exact in float32
-    return ((a @ b).astype(np.int32) & 1).astype(np.float32)
+def _mod2_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The 0/1 product of a and b mod 2, written into the float32 `out`."""
+    # Sums of at most 256 ones are exact in float32.  Past 2**23 the ulp is
+    # 1, so sum + 2**23 is exact and its lowest mantissa bit is the sum's
+    # parity, which becomes 0.0 or 1.0 (bits 0x3F800000) in place.
+    np.matmul(a, b, out=out)
+    out += 2.0**23
+    parity = out.view(np.int32)
+    parity &= 1
+    parity *= 0x3F800000
+    return out
 
 
 def _jump(level: int) -> np.ndarray:
@@ -146,7 +154,7 @@ def _jump(level: int) -> np.ndarray:
         _step_lanes(basis, _LANE_STEPS)
         _jumps.append(_words_to_bits(basis.T).astype(np.float32))
     while len(_jumps) <= level:
-        _jumps.append(_mod2_product(_jumps[-1], _jumps[-1]))
+        _jumps.append(_mod2_product(_jumps[-1], _jumps[-1], np.empty_like(_jumps[-1])))
     return _jumps[level]
 
 
@@ -172,7 +180,7 @@ def _fill_lanes(states: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
     known, jump = 1, level
     while known < m:
         k = min(known, m - known)
-        bits[known * n : (known + k) * n] = _mod2_product(bits[: k * n], _jump(jump))
+        _mod2_product(bits[: k * n], _jump(jump), bits[known * n : (known + k) * n])
         known += k
         jump += 1
     s = _bits_to_words(bits)

@@ -1,6 +1,10 @@
 """Localization pipeline tests against brute-force oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from rcc import segment
 from rcc.image import BAND_ROWS, GrayImage, Image, rgb_to_gray
 from rcc.rng import Xoshiro256StarStar
+from rcc.synth import COLOR_CLASSES, ILLUMINANT_PRESETS, render_scene
 from rcc.segment import (
     BLUR_SIGMA,
     BinaryMask,
@@ -26,6 +31,11 @@ from rcc.segment import (
 )
 
 from oracles import round_half_away
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
 
 
 def random_gray(rng, h, w):
@@ -86,7 +96,8 @@ def oracle_rgb_to_gray(img):
     return GrayImage(np.floor(luma, out=luma).astype(np.uint8))
 
 
-def oracle_gaussian_blur(img, sigma):
+def oracle_blur_values(img, sigma):
+    """The float64 blur before rounding."""
     kernel = gaussian_kernel(sigma)
     radius = len(kernel) // 2
     acc = img.pixels.astype(np.float64)
@@ -100,6 +111,11 @@ def oracle_gaussian_blur(img, sigma):
                 acc += weight * padded[:, t : t + img.width]
             else:
                 acc += weight * padded[t : t + img.height, :]
+    return acc
+
+
+def oracle_gaussian_blur(img, sigma):
+    acc = oracle_blur_values(img, sigma)
     return GrayImage(np.clip(round_half_away(acc), 0, 255).astype(np.uint8))
 
 
@@ -138,18 +154,45 @@ BAND_HEIGHTS = (1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 3)
 BLUR_RADIUS = len(gaussian_kernel(BLUR_SIGMA)) // 2
 
 
+# 0/1 stripes blur to within 3.5e-5 of a half level at sigma 1.4, so nearly
+# every float32 value is unsure and the band is redone whole in float64.
+STRIPE_WIDTH = 40
+
+
+def stripes(shape, pattern):
+    """0/1 alternating columns, alternating rows or a checkerboard."""
+    ys, xs = np.indices(shape[:2])
+    bits = {"columns": xs, "rows": ys, "checkerboard": xs + ys}[pattern] % 2
+    return np.broadcast_to(bits.reshape(shape[:2] + (1,) * (len(shape) - 2)), shape)
+
+
 @st.composite
 def pixel_arrays(draw, channels=(), min_side=1, max_width=BLUR_RADIUS + 2):
-    """Constant, uniform random or 0/255 pixels at a band-edge height."""
+    """Constant, uniform random, 0/255 or 0/1 striped pixels at a band-edge
+    height; stripes come up to STRIPE_WIDTH wide."""
     h = draw(st.sampled_from([t for t in BAND_HEIGHTS if t >= min_side]))
-    shape = (h, draw(st.integers(min_side, max_width))) + channels
-    kind = draw(st.sampled_from(("constant", "random", "extremes")))
+    kind = draw(st.sampled_from(("constant", "random", "extremes", "stripes")))
+    width = max(max_width, STRIPE_WIDTH) if kind == "stripes" else max_width
+    shape = (h, draw(st.integers(min_side, width))) + channels
     if kind == "constant":
         return np.full(shape, draw(st.integers(0, 255)), dtype=np.uint8)
+    if kind == "stripes":
+        pattern = draw(st.sampled_from(("columns", "rows", "checkerboard")))
+        return stripes(shape, pattern).astype(np.uint8)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
         return rng.integers(0, 256, shape, dtype=np.uint8)
     return rng.choice(np.array([0, 255], dtype=np.uint8), shape)
+
+
+def striped_scene():
+    """A 640x480 scene of uniform noise above 0/1 stripe bands with noise
+    between them: the blur redoes the unsure pixels of the top bands one
+    by one, then the first striped band whole, then the rest in float64."""
+    px = np.random.default_rng(11).integers(0, 256, (480, 640, 3), dtype=np.uint8)
+    for top, pattern in ((200, "columns"), (330, "rows"), (430, "checkerboard")):
+        px[top : top + 50] = stripes((50, 640, 3), pattern)
+    return px
 
 
 class TestFrontEndOracles:
@@ -167,8 +210,10 @@ class TestFrontEndOracles:
         assert np.array_equal(gaussian_blur(img, sigma).pixels, want)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.sampled_from((3, 5, 11, 15)), st.integers(0, 3))
+    @given(st.data(), st.sampled_from((3, 5, 11, 15)),
+           st.integers(-255, 255) | st.sampled_from((-16, -15, 0, 2, 15, 16)))
     def test_threshold_matches_oracle(self, data, window, c):
+        # window 11 sums in int16 for |c| <= 15 and in int32 past that
         img = GrayImage(data.draw(pixel_arrays(max_width=window // 2 + 2)))
         want = oracle_adaptive_threshold(img, window, float(c)).bits
         assert np.array_equal(adaptive_threshold(img, window, float(c)).bits, want)
@@ -180,16 +225,51 @@ class TestFrontEndOracles:
         assert np.array_equal(sobel_magnitude(img).pixels, oracle_sobel_magnitude(img).pixels)
 
     def test_wide_scene_matches_oracles(self):
-        img = Image(np.random.default_rng(7).integers(0, 256, (2 * BAND_ROWS + 3, 97, 3),
-                                                      dtype=np.uint8))
-        gray = rgb_to_gray(img)
-        assert np.array_equal(gray.pixels, oracle_rgb_to_gray(img).pixels)
-        blurred = gaussian_blur(gray, BLUR_SIGMA)
-        assert np.array_equal(blurred.pixels, oracle_gaussian_blur(gray, BLUR_SIGMA).pixels)
-        assert np.array_equal(adaptive_threshold(blurred, 11, 2.0).bits,
-                              oracle_adaptive_threshold(blurred, 11, 2.0).bits)
-        assert np.array_equal(sobel_magnitude(blurred).pixels,
-                              oracle_sobel_magnitude(blurred).pixels)
+        noise = np.random.default_rng(7).integers(0, 256, (2 * BAND_ROWS + 3, 97, 3),
+                                                  dtype=np.uint8)
+        for px in (noise, striped_scene()):
+            img = Image(px)
+            gray = rgb_to_gray(img)
+            assert np.array_equal(gray.pixels, oracle_rgb_to_gray(img).pixels)
+            blurred = gaussian_blur(gray, BLUR_SIGMA)
+            assert np.array_equal(blurred.pixels,
+                                  oracle_gaussian_blur(gray, BLUR_SIGMA).pixels)
+            assert np.array_equal(adaptive_threshold(blurred, 11, 2.0).bits,
+                                  oracle_adaptive_threshold(blurred, 11, 2.0).bits)
+            assert np.array_equal(sobel_magnitude(blurred).pixels,
+                                  oracle_sobel_magnitude(blurred).pixels)
+
+
+# numpy's dispatch targets with AVX-512 loops; none of numpy's loops fuses a
+# multiply into an add, so the float32 pass and the int16 sums give the
+# same bytes without them
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+_OFF_AVX512_SCRIPT = """
+import sys
+import pytest
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as features
+assert not any(features[f] for f in sys.argv[1].split()), "AVX-512 loops still enabled"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
+"""
+
+
+@pytest.mark.skipif(not all(CPU_FEATURES.get(f) for f in AVX512_TARGETS),
+                    reason="CPU lacks AVX-512")
+def test_front_end_golden_bytes_off_avx512():
+    targets = " ".join(AVX512_TARGETS)
+    done = subprocess.run(
+        [sys.executable, "-c", _OFF_AVX512_SCRIPT, targets,
+         "tests/test_golden.py::test_front_end_arrays_match_golden",
+         "tests/test_golden.py::test_detect_boxes_match_golden"],
+        cwd=Path(__file__).resolve().parents[1],
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=targets),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "4 passed" in done.stdout
 
 
 def flood_fill_boxes(bits: np.ndarray) -> list[tuple[int, BoundRect]]:
@@ -238,6 +318,28 @@ class TestGaussian:
     def test_blur_preserves_constant_image(self):
         img = GrayImage(np.full((10, 12), 137, dtype=np.uint8))
         assert gaussian_blur(img, 1.4) == img
+
+    @pytest.mark.parametrize("sigma", (0.8, BLUR_SIGMA, 2.3))
+    def test_float32_pass_within_its_bound_on_scenes(self, sigma):
+        """The largest |V32 - V64| over rendered scenes stays below the
+        first-order bound of gaussian_blur's docstring; the pass decides a
+        pixel only when it is twice that from a half level."""
+        taps = gaussian_kernel(sigma)
+        bound = segment._float32_error_bound(len(taps))
+        radius = len(taps) // 2
+        worst = 0.0
+        for i, (color, name) in enumerate(zip(COLOR_CLASSES * 5, sorted(ILLUMINANT_PRESETS) * 6)):
+            rect = BoundRect(5 + i, 4 + i % 20, 40 + i, 30 + i % 20)
+            scene, _ = render_scene(color, rect, 128, 96, ILLUMINANT_PRESETS[name], seed=i,
+                                    jitter=i % 3)
+            gray = rgb_to_gray(scene)
+            padded = np.pad(gray.pixels, radius, mode="edge").astype(np.float32)
+            h, w = gray.pixels.shape
+            acc = np.empty((h + 2 * radius, w), dtype=np.float32)
+            v32 = segment._separable_sums(padded, taps.astype(np.float32), acc,
+                                          np.empty_like(acc), np.empty((h, w), np.float32))
+            worst = max(worst, np.abs(v32 - oracle_blur_values(gray, sigma)).max())
+        assert 0 < worst < bound
 
     def test_blur_matches_direct_convolution(self):
         rng = Xoshiro256StarStar(100)
