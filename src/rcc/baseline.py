@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .image import Image, rgb_to_hsv
+from .image import rgb_to_hsv
 from .net import CLASS_NAMES
 from .synth import read_csv, write_csv
 
@@ -66,9 +66,9 @@ class HsvRange:
         )
 
 
-def mean_pixel_hsv(patch: Image) -> tuple[float, float, float]:
-    """HSV of the patch's channel-wise mean pixel."""
-    mean = patch.pixels.astype(np.float64).mean(axis=(0, 1))
+def mean_pixel_hsv(patch: np.ndarray) -> tuple[float, float, float]:
+    """HSV of the channel-wise mean pixel of an (h, w, 3) patch."""
+    mean = patch.astype(np.float64).mean(axis=(0, 1))
     return rgb_to_hsv(float(mean[0]), float(mean[1]), float(mean[2]))
 
 
@@ -83,11 +83,11 @@ def _circular_deviations(hues: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def calibrate_ranges(
-    samples: Sequence[tuple[Image, int]], n_classes: int = N_CLASSES
+    patches: np.ndarray, labels: Sequence[int], n_classes: int = N_CLASSES
 ) -> list[HsvRange]:
-    """Fit one HsvRange per class from (patch, class index) training pairs."""
+    """Fit one HsvRange per class from a training patch stack and its labels."""
     by_class: list[list[tuple[float, float, float]]] = [[] for _ in range(n_classes)]
-    for patch, label in samples:
+    for patch, label in zip(patches, labels, strict=True):
         if not 0 <= label < n_classes:
             raise ValueError(f"class index {label} out of range")
         by_class[label].append(mean_pixel_hsv(patch))
@@ -113,7 +113,7 @@ def calibrate_ranges(
     return ranges
 
 
-def classify_hsv(patch: Image, ranges: Sequence[HsvRange]) -> int | None:
+def classify_hsv(patch: np.ndarray, ranges: Sequence[HsvRange]) -> int | None:
     """First class (ascending index) whose range contains the patch's mean
     HSV; None when no range matches."""
     h, s, v = mean_pixel_hsv(patch)
@@ -124,9 +124,9 @@ def classify_hsv(patch: Image, ranges: Sequence[HsvRange]) -> int | None:
 
 
 def count_hsv_hits(
-    patches: Sequence[Image], labels: Sequence[int], ranges: Sequence[HsvRange]
+    patches: np.ndarray, labels: Sequence[int], ranges: Sequence[HsvRange]
 ) -> int:
-    """How many patches `classify_hsv` gives their label."""
+    """How many rows of the patch stack `classify_hsv` gives their label."""
     return sum(
         1
         for patch, label in zip(patches, labels)

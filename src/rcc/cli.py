@@ -151,17 +151,15 @@ def cmd_baseline(args) -> int:
     if args.calibrate:
         if not manifest.split("train"):
             raise ValueError("manifest has no train split")
-        images, labels = harness.load_patches(manifest.split("train"), args.data)
-        ranges = baseline_mod.calibrate_ranges(
-            list(zip(images, labels.tolist()))
-        )
+        patches, labels = harness.load_patches(manifest.split("train"), args.data)
+        ranges = baseline_mod.calibrate_ranges(patches, labels)
         Path(args.ranges).write_text(
             baseline_mod.ranges_to_csv(ranges), encoding="utf-8"
         )
     else:
         ranges = _load_ranges(args.ranges)
-    images, labels = harness.load_patches(manifest.split("test"), args.data)
-    hits = baseline_mod.count_hsv_hits(images, labels, ranges)
+    patches, labels = harness.load_patches(manifest.split("test"), args.data)
+    hits = baseline_mod.count_hsv_hits(patches, labels, ranges)
     action = "calibrated" if args.calibrate else "loaded"
     print(
         f"{action} ranges: test accuracy {hits / len(labels):.4f} "

@@ -23,20 +23,22 @@ GRID_SIDE = 3
 
 @dataclass(frozen=True)
 class CubeGrid:
-    """Nine cubes with their centers and rects in resized-crop coordinates.
+    """Nine cubes, a (9, 32, 32, 3) uint8 stack, with their centers and
+    rects in resized-crop coordinates.
 
     Order is column-major over the grid: index k = 3*i + j where i is the
     grid column and j the grid row, both counted from the top-left.
     """
 
-    cubes: tuple[Image, ...]
+    cubes: np.ndarray
     centers: tuple[tuple[int, int], ...]
     rects: tuple[BoundRect, ...]
     crop_size: tuple[int, int]  # (width, height) after any upscaling
 
     def __post_init__(self):
         n = GRID_SIDE * GRID_SIDE
-        if not (len(self.cubes) == len(self.centers) == len(self.rects) == n):
+        shape = (n, CUBE_SIZE, CUBE_SIZE, 3)
+        if not (self.cubes.shape == shape and len(self.centers) == len(self.rects) == n):
             raise ValueError(f"grid must hold exactly {n} cubes")
 
 
@@ -97,17 +99,13 @@ def extract_color_cubes(img: Image, rect: BoundRect) -> CubeGrid:
         area = resize_nearest(area, new_w, new_h)
     half = CUBE_SIZE // 2
     centers = cube_centers(area.width, area.height)
-    cubes = []
-    rects = []
-    for x1, y1 in centers:
-        left, top = x1 - half, y1 - half
-        cube_rect = BoundRect(left, top, CUBE_SIZE, CUBE_SIZE)
-        cubes.append(crop(area, cube_rect))
-        rects.append(cube_rect)
+    rects = tuple(BoundRect(x - half, y - half, CUBE_SIZE, CUBE_SIZE) for x, y in centers)
+    # cube k is the crop's window at rects[k], copied out in one indexing step
+    windows = np.lib.stride_tricks.sliding_window_view(area.pixels, (CUBE_SIZE, CUBE_SIZE, 3))
     return CubeGrid(
-        cubes=tuple(cubes),
+        cubes=windows[[r.y for r in rects], [r.x for r in rects], 0],
         centers=centers,
-        rects=tuple(rects),
+        rects=rects,
         crop_size=(area.width, area.height),
     )
 

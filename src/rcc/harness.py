@@ -18,6 +18,7 @@ from .baseline import HsvRange, count_hsv_hits
 from .cubes import aggregate_votes, extract_color_cubes
 from .image import Image, read_ppm
 from .net import (
+    INPUT_SIZE,
     NetworkParams,
     NumericError,
     images_to_batch,
@@ -74,12 +75,21 @@ class EvalReport:
 
 def load_patches(
     records: Sequence[SampleRecord], data_dir: str | Path
-) -> tuple[list[Image], np.ndarray]:
-    """Read each record's PPM; returns (images, class index array)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read the records' PPMs into one (n, 32, 32, 3) uint8 stack; returns
+    (patches, class index array).  A patch of another size is a ValueError."""
     data_dir = Path(data_dir)
-    images = [read_ppm((data_dir / r.filename).read_bytes()) for r in records]
+    patches = np.empty((len(records), INPUT_SIZE, INPUT_SIZE, 3), dtype=np.uint8)
+    for i, r in enumerate(records):
+        img = read_ppm((data_dir / r.filename).read_bytes())
+        if img.pixels.shape != patches.shape[1:]:
+            raise ValueError(
+                f"{r.filename}: expected a {INPUT_SIZE}x{INPUT_SIZE} patch, "
+                f"got {img.width}x{img.height}"
+            )
+        patches[i] = img.pixels
     labels = np.array([r.class_index for r in records], dtype=np.int64)
-    return images, labels
+    return patches, labels
 
 
 def _split_stats(
@@ -119,10 +129,10 @@ def train(
     if not train_records or not test_records:
         raise ValueError("manifest must contain both train and test samples")
 
-    train_images, train_labels = load_patches(train_records, data_dir)
-    test_images, test_labels = load_patches(test_records, data_dir)
-    train_xs = images_to_batch(train_images)
-    test_xs = images_to_batch(test_images)
+    train_patches, train_labels = load_patches(train_records, data_dir)
+    test_patches, test_labels = load_patches(test_records, data_dir)
+    train_xs = images_to_batch(train_patches)
+    test_xs = images_to_batch(test_patches)
 
     rng = Xoshiro256StarStar(seed)
     params = init_params(seed)
@@ -166,8 +176,8 @@ def evaluate(
     """Load a manifest split from disk and score its argmax predictions."""
     if not records:
         raise ValueError("cannot evaluate an empty split")
-    images, labels = load_patches(records, data_dir)
-    predicted = logits(images_to_batch(images), params).argmax(axis=1)
+    patches, labels = load_patches(records, data_dir)
+    predicted = logits(images_to_batch(patches), params).argmax(axis=1)
     n = len(params.class_names)
     confusion = np.zeros((n, n), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
@@ -250,19 +260,17 @@ def compare_robustness(
     test_records = manifest.split("test")
     if not test_records:
         raise ValueError("manifest has no test split")
-    images, labels = load_patches(test_records, data_dir)
-    pixels = np.stack([img.pixels for img in images])
+    patches, labels = load_patches(test_records, data_dir)
     rows = []
     for gain in gains:
         spec = IlluminationSpec((gain, gain, gain), 1.0, 0.0)
-        lit = apply_illumination(pixels, spec, [0] * len(pixels))
-        perturbed = [Image(p) for p in lit]
-        predicted = logits(images_to_batch(perturbed), params).argmax(axis=1)
+        lit = apply_illumination(patches, spec, [0] * len(patches))
+        predicted = logits(images_to_batch(lit), params).argmax(axis=1)
         rows.append(
             RobustnessRow(
                 gain=gain,
                 cnn_acc=float((predicted == labels).mean()),
-                hsv_acc=count_hsv_hits(perturbed, labels, ranges) / len(labels),
+                hsv_acc=count_hsv_hits(lit, labels, ranges) / len(labels),
             )
         )
     return rows

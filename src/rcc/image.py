@@ -6,8 +6,8 @@ canonical form; reading additionally tolerates ``#`` comments and arbitrary
 whitespace between header tokens, so the round trip is bit-exact for
 canonical streams.
 
-Rounding rule used across the whole package: round half away from zero,
-then clamp to the target range.
+Rounding rule used across the whole package (`round_half_up`, `to_uint8`):
+round half away from zero, then clamp to the target range.
 """
 
 from __future__ import annotations
@@ -34,17 +34,21 @@ class PpmTruncatedError(PpmError):
     """Pixel payload is shorter or longer than the header promises."""
 
 
+def round_half_up(values: np.ndarray) -> np.ndarray:
+    """floor(values + 0.5) in place, returning `values`: the package's
+    rounding, half away from zero for values >= 0."""
+    values += 0.5
+    return np.floor(values, out=values)
+
+
 def to_uint8(values: np.ndarray) -> np.ndarray:
     """Channel values rounded half away from zero and clamped to [0, 255],
     as uint8; `values`, a float64 array, is rounded in place.
 
-    floor(x + 0.5) rounds half away from zero for x >= 0, and every x
-    below 0.5 clamps to 0 under either rounding.
+    round_half_up rounds half away from zero for x >= 0, and every x below
+    0.5 clamps to 0 under either rounding.
     """
-    values += 0.5
-    np.floor(values, out=values)
-    np.clip(values, 0, 255, out=values)
-    return values.astype(np.uint8)
+    return np.clip(round_half_up(values), 0, 255, out=values).astype(np.uint8)
 
 
 def _as_channel_array(pixels: np.ndarray, expect_ndim: int) -> np.ndarray:
@@ -191,8 +195,7 @@ def rgb_to_gray(img: Image) -> GrayImage:
         np.multiply(rows[:, :, 0], 0.299, out=acc)
         acc += np.multiply(rows[:, :, 1], 0.587, out=tmp)
         acc += np.multiply(rows[:, :, 2], 0.114, out=tmp)
-        acc += 0.5  # luma lies in [0, 255]: rounding half away is floor(luma + 0.5)
-        gray[top : top + len(rows)] = np.floor(acc, out=acc)
+        gray[top : top + len(rows)] = round_half_up(acc)  # luma lies in [0, 255]
     return GrayImage(gray)
 
 

@@ -22,11 +22,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .image import Image
 from .rng import Xoshiro256StarStar, derive_stream_seed
 
 CLASS_NAMES = ("red", "orange", "yellow", "green", "blue", "purple")
@@ -371,16 +370,14 @@ def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> tuple[np.ndarray, np.ndarr
     return y[0], idx[0]
 
 
-def images_to_batch(cubes: Iterable[Image]) -> np.ndarray:
-    """Stack 32x32 RGB cubes into a (B, 3, 32, 32) batch scaled to [0, 1]."""
-    cubes = list(cubes)
-    for cube in cubes:
-        if cube.width != INPUT_SIZE or cube.height != INPUT_SIZE:
-            raise ShapeError(
-                f"expected a {INPUT_SIZE}x{INPUT_SIZE} cube, "
-                f"got {cube.width}x{cube.height}"
-            )
-    batch = np.stack([cube.pixels for cube in cubes]).astype(np.float64)
+def images_to_batch(cubes: np.ndarray) -> np.ndarray:
+    """A (B, 32, 32, 3) uint8 stack of RGB cubes as a (B, 3, 32, 32) batch
+    scaled to [0, 1]."""
+    if cubes.shape[1:] != (INPUT_SIZE, INPUT_SIZE, 3):
+        raise ShapeError(
+            f"expected a stack of {INPUT_SIZE}x{INPUT_SIZE} RGB cubes, got shape {cubes.shape}"
+        )
+    batch = cubes.astype(np.float64)
     batch /= 255.0
     return batch.transpose(0, 3, 1, 2)
 

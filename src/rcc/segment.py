@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import BAND_ROWS, GrayImage, Image, rgb_to_gray
+from .image import BAND_ROWS, GrayImage, Image, rgb_to_gray, round_half_up, to_uint8
 
 
 class NoObjectError(Exception):
@@ -90,13 +90,6 @@ def _separable_sums(rows, kernel, acc, tmp, out):
     for t in range(1, len(kernel)):
         out += np.multiply(acc[t : t + n], kernel[t], out=tmp[:n])
     return out
-
-
-def _round_half_up(values):
-    """floor(values + 0.5) in place; the values lie in [0, 255] up to
-    rounding, so this rounds half away and needs no clamp."""
-    values += 0.5
-    return np.floor(values, out=values)
 
 
 def _float32_error_bound(taps: int) -> float:
@@ -179,7 +172,7 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
             term = np.empty_like(horizontal)
             vertical = np.empty((band, w))
         v = _separable_sums(rows, kernel, horizontal[:halo], term[:halo], vertical[:n])
-        blurred[top : top + n] = _round_half_up(v)
+        blurred[top : top + n] = round_half_up(v)
     if redo:
         ys, xs = np.divmod(np.concatenate(redo), w)
         # each pixel's window, rows first, so the passes run down axis 0 and along axis 2
@@ -187,7 +180,7 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
         win = windows[ys, xs].transpose(1, 0, 2)
         acc = np.empty((size, len(ys), 1))
         out = _separable_sums(win, kernel, acc, np.empty_like(acc), np.empty((1, len(ys), 1)))
-        blurred[ys, xs] = _round_half_up(out).ravel()
+        blurred[ys, xs] = round_half_up(out).ravel()
     return GrayImage(blurred)
 
 
@@ -250,10 +243,7 @@ def sobel_magnitude(img: GrayImage) -> GrayImage:
     gy = across[2:] - across[:-2]
     gx *= gx
     gx += gy * gy
-    mag = np.sqrt(gx, dtype=np.float64)
-    mag += 0.5  # mag >= 0: rounding half away is floor(mag + 0.5)
-    np.floor(mag, out=mag)
-    return GrayImage(np.minimum(mag, 255, out=mag).astype(np.uint8))
+    return GrayImage(to_uint8(np.sqrt(gx, dtype=np.float64)))
 
 
 def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:

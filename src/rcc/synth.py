@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .image import Image, to_uint8, write_ppm
+from .image import Image, round_half_up, to_uint8, write_ppm
 from .net import CLASS_NAMES, INPUT_SIZE
 from .rng import (
     Xoshiro256StarStar,
@@ -104,6 +104,19 @@ ILLUMINANT_PRESETS: dict[str, IlluminationSpec] = {
 ILLUMINANT_CYCLE = ("identity", "warm", "cool", "dim", "bright")
 
 
+def _chunks(n: int, count: int) -> Iterator[tuple[tuple, tuple]]:
+    """(pixel chunk, draw columns) index pairs over an (n, count, 3) stack and
+    its (n, 3 * count + extra) draws, at most CHUNK_VALUES values a chunk.
+    A chunk is whole images or a run of one image's pixels, so it holds whole
+    pixels and whole Box-Muller pairs; an image's last run takes its extras."""
+    step = CHUNK_VALUES // 3
+    rows = max(1, step // max(count, 1))
+    for i in range(0, n, rows):
+        for j in range(0, count, step):
+            pixels = np.s_[i : i + rows, j : j + step]
+            yield pixels, np.s_[i : i + rows, 3 * j : 3 * j + CHUNK_VALUES]
+
+
 def apply_illumination(
     pixels: np.ndarray, spec: IlluminationSpec, noise_seeds: Sequence[int]
 ) -> np.ndarray:
@@ -122,25 +135,17 @@ def apply_illumination(
     if spec.noise_std > 0:
         # Box-Muller takes uniform pairs; an odd size drops its last sine sample
         raw = fill_streams(noise_seeds, 3 * count + count % 2)
-    # a chunk is whole images or a run of one image's pixels; the last run
-    # of an odd-size image takes its extra draw
-    step = CHUNK_VALUES // 3
-    rows = max(1, step // max(count, 1))
-    for i in range(0, n, rows):
-        for j in range(0, count, step):
-            chunk = np.s_[i : i + rows, j : j + step]
-            lit = images[chunk].astype(np.float64)
-            lit *= np.array(spec.gain, dtype=np.float64)
-            lit /= 255.0
-            lit **= spec.gamma
-            lit *= 255.0
-            lit += 0.5  # lit >= 0: rounding half away is floor(lit + 0.5)
-            np.floor(lit, out=lit)
-            if spec.noise_std > 0:
-                uniforms = doubles_from(raw[i : i + rows, 3 * j : 3 * j + CHUNK_VALUES])
-                noise = box_muller(uniforms)[:, : 3 * lit.shape[1]].reshape(lit.shape)
-                lit += noise * spec.noise_std
-            out[chunk] = to_uint8(lit)
+    for chunk, draws in _chunks(n, count):
+        lit = images[chunk].astype(np.float64)
+        lit *= np.array(spec.gain, dtype=np.float64)
+        lit /= 255.0
+        lit **= spec.gamma
+        lit *= 255.0
+        round_half_up(lit)  # lit >= 0
+        if spec.noise_std > 0:
+            noise = box_muller(doubles_from(raw[draws]))[:, : 3 * lit.shape[1]]
+            lit += noise.reshape(lit.shape) * spec.noise_std
+        out[chunk] = to_uint8(lit)
     return out.reshape(pixels.shape)
 
 
@@ -164,19 +169,13 @@ def _jitter_and_light(
     canvas, raw = paint()
     n, count = canvas.shape[:2]
     unlit = np.empty(canvas.shape, dtype=np.uint8)
-    step = CHUNK_VALUES // 3
-    rows = max(1, step // max(count, 1))
-    for i in range(0, n, rows):
-        for j in range(0, count, step):
-            chunk = np.s_[i : i + rows, j : j + step]
-            values = canvas[chunk].astype(np.float64)
-            if jitter > 0:
-                offsets = integers_below_from(
-                    raw[i : i + rows, :-1][:, 3 * j : 3 * j + CHUNK_VALUES], 2 * jitter + 1
-                )
-                offsets -= jitter
-                values += offsets.reshape(values.shape)
-            unlit[chunk] = to_uint8(values)
+    for chunk, draws in _chunks(n, count):
+        values = canvas[chunk].astype(np.float64)
+        if jitter > 0:
+            offsets = integers_below_from(raw[:, :-1][draws], 2 * jitter + 1)
+            offsets -= jitter
+            values += offsets.reshape(values.shape)
+        unlit[chunk] = to_uint8(values)
     noise_seeds = raw[:, -1].tolist()
     del canvas, raw
     groups: dict[IlluminationSpec, list[int]] = {}

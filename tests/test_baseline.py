@@ -12,11 +12,10 @@ from rcc.baseline import (
     ranges_from_csv,
     ranges_to_csv,
 )
-from rcc.image import Image
 
 
 def flat(rgb):
-    return Image(np.full((4, 4, 3), rgb, dtype=np.uint8))
+    return np.full((4, 4, 3), rgb, dtype=np.uint8)
 
 
 def hue_patch(hue_deg, s=0.9, v=0.9):
@@ -28,6 +27,11 @@ def hue_patch(hue_deg, s=0.9, v=0.9):
     rgb = [(c, x, 0), (x, c, 0), (0, c, x), (0, x, c), (x, 0, c), (c, 0, x)][sector]
     channels = [round(255 * (u + m)) for u in rgb]
     return flat(tuple(channels))
+
+
+def fit(hues, labels, n_classes):
+    """calibrate_ranges on a stack of hue_patch(h) for each h in `hues`."""
+    return calibrate_ranges(np.stack([hue_patch(h) for h in hues]), labels, n_classes)
 
 
 class TestHsvRange:
@@ -55,9 +59,7 @@ class TestHsvRange:
 
 class TestCalibration:
     def test_two_clusters_get_separating_ranges(self):
-        samples = [(hue_patch(h), 0) for h in (115, 120, 125)]
-        samples += [(hue_patch(h), 1) for h in (235, 240, 245)]
-        ranges = calibrate_ranges(samples, n_classes=2)
+        ranges = fit((115, 120, 125, 235, 240, 245), [0, 0, 0, 1, 1, 1], n_classes=2)
         green, blue = ranges
         assert green.h_min <= 120 <= green.h_max
         assert blue.h_min <= 240 <= blue.h_max
@@ -65,9 +67,7 @@ class TestCalibration:
         assert classify_hsv(hue_patch(240), ranges) == 1
 
     def test_red_cluster_wrapping_zero(self):
-        hues = (350, 355, 5, 10)
-        samples = [(hue_patch(h), 0) for h in hues]
-        ranges = calibrate_ranges(samples, n_classes=1)
+        ranges = fit((350, 355, 5, 10), [0] * 4, n_classes=1)
         r = ranges[0]
         assert r.contains(*mean_pixel_hsv(hue_patch(355)))
         assert r.contains(*mean_pixel_hsv(hue_patch(5)))
@@ -75,7 +75,7 @@ class TestCalibration:
 
     def test_single_sample_degenerates_to_a_point(self):
         sample = hue_patch(60)
-        ranges = calibrate_ranges([(sample, 0)], n_classes=1)
+        ranges = fit([60], [0], n_classes=1)
         r = ranges[0]
         assert r.h_max - r.h_min == pytest.approx(0.0, abs=1e-9)
         hue = mean_pixel_hsv(sample)[0]
@@ -84,11 +84,11 @@ class TestCalibration:
 
     def test_missing_class_raises(self):
         with pytest.raises(CalibrationError):
-            calibrate_ranges([(hue_patch(10), 0)], n_classes=2)
+            fit([10], [0], n_classes=2)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_ranges([(hue_patch(10), 5)], n_classes=2)
+            fit([10], [5], n_classes=2)
 
 
 class TestClassification:

@@ -88,8 +88,7 @@ class TestGridExtraction:
     def test_small_crop_is_upscaled_until_grid_fits(self):
         grid = extract_color_cubes(solid(50, 40), BoundRect(5, 5, 30, 20))
         assert grid.crop_size[0] >= 96 and grid.crop_size[1] >= 96
-        for cube in grid.cubes:
-            assert cube.width == CUBE_SIZE and cube.height == CUBE_SIZE
+        assert grid.cubes.shape == (9, CUBE_SIZE, CUBE_SIZE, 3)
 
     def test_cube_order_is_column_major(self):
         grid = extract_color_cubes(solid(200, 200), BoundRect(0, 0, 96, 96))
@@ -101,9 +100,12 @@ class TestGridExtraction:
     def test_cubes_average_their_region(self):
         pixels = np.zeros((96, 96, 3), dtype=np.uint8)
         pixels[:, 64:] = 200  # right third bright
+        pixels[64:, :, 2] = 100  # bottom third blue
         grid = extract_color_cubes(Image(pixels), BoundRect(0, 0, 96, 96))
-        assert grid.cubes[0].pixels.max() == 0
-        assert grid.cubes[6].pixels.min() == 200
+        assert grid.cubes[0].max() == 0
+        assert grid.cubes[6].min() == 200
+        for cube, r in zip(grid.cubes, grid.rects):
+            assert np.array_equal(cube, pixels[r.y : r.y + r.h, r.x : r.x + r.w])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 150), st.integers(1, 150))

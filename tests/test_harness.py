@@ -465,6 +465,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "manifest.csv line 4: could not convert string to float: 'abc'" in err
 
+    @pytest.mark.parametrize("command, split", [
+        ("train", "train"), ("eval", "test"), ("baseline", "train"), ("compare", "test"),
+    ])
+    def test_wrong_size_patch_names_file(self, tmp_path, capsys, command, split):
+        data = tmp_path / "data"
+        model = tmp_path / "model.ckpt"
+        ranges = tmp_path / "ranges.csv"
+        manifest = generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        model.write_bytes(save_checkpoint(init_params(0)))
+        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        cut = {}
+        for name in ("train", "test"):
+            cut[name] = manifest.split(name)[-1].filename
+            path = data / cut[name]
+            path.write_bytes(write_ppm(Image(read_ppm(path.read_bytes()).pixels[:16, :16])))
+        args = {
+            "train": ["train", "--out", str(model), "--metrics", str(tmp_path / "m.csv"),
+                      "--epochs", "1"],
+            "eval": ["eval", "--model", str(model), "--report", str(tmp_path / "r.json")],
+            "baseline": ["baseline", "--ranges", str(tmp_path / "fit.csv"), "--calibrate"],
+            "compare": ["compare", "--model", str(model), "--ranges", str(ranges),
+                        "--out", str(tmp_path / "sweep.csv")],
+        }[command]
+        assert cli.main(args + ["--data", str(data)]) == 3
+        assert f"{cut[split]}: expected a 32x32 patch, got 16x16" in capsys.readouterr().err
+
     @pytest.mark.parametrize("csv_name, column, value, message", [
         ("manifest.csv", 4, "nan", "brightness nan outside [0.2, 1.0]"),
         ("manifest.csv", 4, "1.5", "brightness 1.5 outside [0.2, 1.0]"),

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcc import net
-from rcc.image import Image
 from rcc.net import (
     CLASS_NAMES,
     CheckpointError,
@@ -522,7 +521,7 @@ class TestInit:
 
 class TestForward:
     def test_probabilities_normalized(self):
-        cubes = [Image(np.full((32, 32, 3), v, dtype=np.uint8)) for v in (90, 200)]
+        cubes = np.stack([np.full((32, 32, 3), v, dtype=np.uint8) for v in (90, 200)])
         probs = predict_probabilities(images_to_batch(cubes), init_params(0))
         assert probs.shape == (2, 6)
         assert probs.min() >= 0
@@ -531,24 +530,18 @@ class TestForward:
     def test_input_scaling(self):
         rng = Xoshiro256StarStar(206)
         pixels = rng.integers_below(256, 32 * 32 * 3).reshape(32, 32, 3)
-        cubes = [
-            Image(np.full((32, 32, 3), 255, dtype=np.uint8)),
-            Image(pixels.astype(np.uint8)),
-        ]
+        cubes = np.stack([np.full((32, 32, 3), 255, dtype=np.uint8), pixels.astype(np.uint8)])
         xs = images_to_batch(cubes)
         assert xs.shape == (2, 3, 32, 32)
         assert (xs[0] == 1.0).all()
         # the same bytes as scaling the one cube on its own
-        want = cubes[1].pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
+        want = cubes[1].astype(np.float64).transpose(2, 0, 1) / 255.0
         assert xs[1].tobytes() == want.tobytes()
 
     def test_wrong_cube_size_rejected(self):
-        cubes = [
-            Image(np.zeros((32, 32, 3), dtype=np.uint8)),
-            Image(np.zeros((16, 16, 3), dtype=np.uint8)),
-        ]
-        with pytest.raises(ShapeError):
-            images_to_batch(cubes)
+        for shape in ((2, 16, 16, 3), (2, 32, 16, 3), (32, 32, 3)):
+            with pytest.raises(ShapeError):
+                images_to_batch(np.zeros(shape, dtype=np.uint8))
 
 
 def _raw_checkpoint(conv1_shape=(8, 3, 3, 3), paddings=(1, 1, 1)) -> bytes:
