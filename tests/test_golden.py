@@ -9,6 +9,12 @@ so it would pass a change that moves every byte; this one would not.
 `INIT_CHECKPOINT_SHA256` pins `save_checkpoint(init_params(seed))`: the
 weight draw order and checkpoint format v1, with no BLAS involved.
 
+`BASELINE_RANGES_SHA256` and `BASELINE_SWEEP_HITS` pin the HSV baseline on
+`generate_dataset(seed=0)`: the ranges CSV calibrated on the train split,
+and the test split's hits at each gain of `DEFAULT_GAIN_SWEEP` (noise-free
+`apply_illumination`, as `compare_robustness` lights it).  No model is
+involved, so no BLAS build can move them.
+
 `DETECT_BOXES` pins `detect_bounding_box` in both segmenter modes on the
 24 scenes of `generate_dataset(seed=0)`, then on the 640x480 scene, as
 (x, y, w, h).  A changed mask can still give the same boxes, so
@@ -25,10 +31,19 @@ from pathlib import Path
 import pytest
 
 from rcc import segment
+from rcc.baseline import calibrate_ranges, count_hsv_hits, ranges_to_csv
+from rcc.harness import DEFAULT_GAIN_SWEEP, load_patches
 from rcc.image import read_ppm, write_ppm
 from rcc.net import init_params, save_checkpoint
 from rcc.segment import BoundRect, detect_bounding_box
-from rcc.synth import COLOR_CLASSES, ILLUMINANT_PRESETS, generate_dataset, render_scene
+from rcc.synth import (
+    COLOR_CLASSES,
+    ILLUMINANT_PRESETS,
+    IlluminationSpec,
+    apply_illumination,
+    generate_dataset,
+    render_scene,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_seed0.sha256"
 INIT_CHECKPOINT_SHA256 = {
@@ -36,6 +51,8 @@ INIT_CHECKPOINT_SHA256 = {
     1: "f1ab2c6e31a251a4dd4470db09c34f1c18c58bc4e22cb3cbc3651e3d03b595f4",
     2: "23bc33d2ba8f1507ece0fa1a0b1da82dc70f1f33ea21057fea9bba345bd71c22",
 }
+BASELINE_RANGES_SHA256 = "029e7d19aab7dba9c99597d07330627f809126afa036dec10692c93fa113d8c7"
+BASELINE_SWEEP_HITS = [26, 34, 37, 39, 36, 34, 30]
 DETECT_BOXES = {
     "adaptive": [
         (55, 29, 36, 33), (35, 29, 32, 56), (30, 25, 44, 52), (60, 56, 48, 33),
@@ -135,3 +152,22 @@ def test_front_end_arrays_match_golden(seed0, monkeypatch, mode):
 def test_init_checkpoint_bytes_match_golden(seed):
     digest = hashlib.sha256(save_checkpoint(init_params(seed))).hexdigest()
     assert digest == INIT_CHECKPOINT_SHA256[seed]
+
+
+def test_baseline_matches_golden(seed0):
+    path, manifest = seed0
+    ranges = calibrate_ranges(*load_patches(manifest.split("train"), path))
+    digest = hashlib.sha256(ranges_to_csv(ranges).encode("utf-8")).hexdigest()
+    assert digest == BASELINE_RANGES_SHA256
+    patches, labels = load_patches(manifest.split("test"), path)
+    hits = [
+        count_hsv_hits(
+            apply_illumination(
+                patches, IlluminationSpec((gain, gain, gain), 1.0, 0.0), [0] * len(patches)
+            ),
+            labels,
+            ranges,
+        )
+        for gain in DEFAULT_GAIN_SWEEP
+    ]
+    assert hits == BASELINE_SWEEP_HITS
