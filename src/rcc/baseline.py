@@ -1,11 +1,12 @@
 """Fixed HSV range classifier, the conventional approach being compared
 against.
 
-Ranges are calibrated per class from training patches: the patch's mean
-pixel is converted to HSV, hue gets circular p5/p95 percentiles (so red
-wrapping past 0 degrees works), saturation and value get plain p5 floors.
+Everything runs on (n, h, w, 3) uint8 patch stacks.  Ranges are calibrated
+per class from training patches: each patch's mean pixel is converted to
+HSV (`mean_hsv`), hue gets circular p5/p95 percentiles (so red wrapping
+past 0 degrees works), saturation and value get plain p5 floors.
 Classification is first-match containment in ascending class order; no
-match means "unknown" (returned as None) and scores as incorrect.
+match means "unknown" (returned as -1) and scores as incorrect.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .image import rgb_to_hsv
 from .net import CLASS_NAMES
 from .synth import read_csv, write_csv
 
@@ -57,19 +57,33 @@ class HsvRange:
             if not 0 <= value <= 1:
                 raise ValueError(f"{name} {value} outside [0, 1]")
 
-    def contains(self, h: float, s: float, v: float) -> bool:
-        if s < self.s_min or v < self.v_min:
-            return False
-        return (
-            self.h_min <= h <= self.h_max
-            or self.h_min <= h + 360.0 <= self.h_max
+    def contains(self, h, s, v):
+        """Whether (h, s, v) lies in the range, elementwise over arrays."""
+        in_window = ((self.h_min <= h) & (h <= self.h_max)) | (
+            (self.h_min <= h + 360.0) & (h + 360.0 <= self.h_max)
         )
+        return (s >= self.s_min) & (v >= self.v_min) & in_window
 
 
-def mean_pixel_hsv(patch: np.ndarray) -> tuple[float, float, float]:
-    """HSV of the channel-wise mean pixel of an (h, w, 3) patch."""
-    mean = patch.astype(np.float64).mean(axis=(0, 1))
-    return rgb_to_hsv(float(mean[0]), float(mean[1]), float(mean[2]))
+@np.errstate(divide="ignore", invalid="ignore")  # hues where delta is 0 are reset
+def mean_hsv(patches: np.ndarray) -> np.ndarray:
+    """(n, 3) array of (h degrees, s, v) of each patch's channel-mean pixel,
+    by the hexcone; h lies in [0, 360) and is 0 wherever s is 0."""
+    # a float64 sum of uint8 values is exact, so each mean is the rounded
+    # quotient of its exact sum
+    rgb = patches.mean(axis=(1, 2), dtype=np.float64) / 255.0
+    r, g, b = rgb.T
+    v = rgb.max(axis=1)
+    delta = v - rgb.min(axis=1)
+    s = np.divide(delta, v, out=np.zeros_like(v), where=v != 0)
+    h = 60.0 * np.where(
+        v == r,
+        ((g - b) / delta) % 6.0,
+        np.where(v == g, (b - r) / delta + 2.0, (r - g) / delta + 4.0),
+    )
+    h[(delta == 0) | (s == 0)] = 0.0
+    h[h >= 360.0] -= 360.0
+    return np.stack([h, s, v], axis=1)
 
 
 def _circular_deviations(hues: np.ndarray) -> tuple[float, np.ndarray]:
@@ -82,22 +96,20 @@ def _circular_deviations(hues: np.ndarray) -> tuple[float, np.ndarray]:
     return center, deviations
 
 
-def calibrate_ranges(
-    patches: np.ndarray, labels: Sequence[int], n_classes: int = N_CLASSES
-) -> list[HsvRange]:
+def calibrate_ranges(patches: np.ndarray, labels: Sequence[int]) -> list[HsvRange]:
     """Fit one HsvRange per class from a training patch stack and its labels."""
-    by_class: list[list[tuple[float, float, float]]] = [[] for _ in range(n_classes)]
-    for patch, label in zip(patches, labels, strict=True):
-        if not 0 <= label < n_classes:
-            raise ValueError(f"class index {label} out of range")
-        by_class[label].append(mean_pixel_hsv(patch))
+    labels = np.asarray(labels)
+    if len(labels) != len(patches):
+        raise ValueError(f"{len(labels)} labels for {len(patches)} patches")
+    bad = (labels < 0) | (labels >= N_CLASSES)
+    if bad.any():
+        raise ValueError(f"class index {labels[bad][0]} out of range")
+    hsv = mean_hsv(patches)
     ranges = []
-    for index, entries in enumerate(by_class):
-        if not entries:
+    for index in range(N_CLASSES):
+        hues, sats, vals = hsv[labels == index].T
+        if not len(hues):
             raise CalibrationError(f"no samples for class {index}")
-        hues = np.array([e[0] for e in entries])
-        sats = np.array([e[1] for e in entries])
-        vals = np.array([e[2] for e in entries])
         center, deviations = _circular_deviations(hues)
         low, high = np.percentile(deviations, [5.0, 95.0])
         h_min = (center + low) % 360.0
@@ -113,25 +125,21 @@ def calibrate_ranges(
     return ranges
 
 
-def classify_hsv(patch: np.ndarray, ranges: Sequence[HsvRange]) -> int | None:
-    """First class (ascending index) whose range contains the patch's mean
-    HSV; None when no range matches."""
-    h, s, v = mean_pixel_hsv(patch)
+def classify_hsv(patches: np.ndarray, ranges: Sequence[HsvRange]) -> np.ndarray:
+    """Per patch, the first class (ascending index) whose range contains
+    its mean HSV; -1 where no range matches."""
+    h, s, v = mean_hsv(patches).T
+    classes = np.full(len(h), -1, dtype=np.int64)
     for r in sorted(ranges, key=lambda r: r.class_index):
-        if r.contains(h, s, v):
-            return r.class_index
-    return None
+        classes[(classes == -1) & r.contains(h, s, v)] = r.class_index
+    return classes
 
 
 def count_hsv_hits(
     patches: np.ndarray, labels: Sequence[int], ranges: Sequence[HsvRange]
 ) -> int:
     """How many rows of the patch stack `classify_hsv` gives their label."""
-    return sum(
-        1
-        for patch, label in zip(patches, labels)
-        if classify_hsv(patch, ranges) == label
-    )
+    return int((classify_hsv(patches, ranges) == labels).sum())
 
 
 RANGES_COLUMNS = tuple(f.name for f in fields(HsvRange))

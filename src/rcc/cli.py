@@ -34,8 +34,6 @@ EXIT_NO_OBJECT = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-GRADCHECK_BATCH = 2
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the CLI contract wants 1."""
@@ -182,7 +180,7 @@ def cmd_compare(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     params = init_params(args.seed)
-    xs, labels = net.gradcheck_batch(args.seed, params, batch=GRADCHECK_BATCH)
+    xs, labels = net.gradcheck_batch(args.seed, params)
     results = gradient_check(params, xs, labels)
     for r in results:
         status = "ok" if r.passed else "FAIL"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baseline import HsvRange, count_hsv_hits
 from .cubes import aggregate_votes, extract_color_cubes
-from .image import Image, read_ppm
+from .image import Image, PpmError, read_ppm
 from .net import (
     INPUT_SIZE,
     NetworkParams,
@@ -77,11 +77,15 @@ def load_patches(
     records: Sequence[SampleRecord], data_dir: str | Path
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read the records' PPMs into one (n, 32, 32, 3) uint8 stack; returns
-    (patches, class index array).  A patch of another size is a ValueError."""
+    (patches, class index array).  A patch that does not parse, or is of
+    another size, is a ValueError naming its file."""
     data_dir = Path(data_dir)
     patches = np.empty((len(records), INPUT_SIZE, INPUT_SIZE, 3), dtype=np.uint8)
     for i, r in enumerate(records):
-        img = read_ppm((data_dir / r.filename).read_bytes())
+        try:
+            img = read_ppm((data_dir / r.filename).read_bytes())
+        except PpmError as exc:
+            raise ValueError(f"{r.filename}: {exc}") from exc
         if img.pixels.shape != patches.shape[1:]:
             raise ValueError(
                 f"{r.filename}: expected a {INPUT_SIZE}x{INPUT_SIZE} patch, "
@@ -250,9 +254,9 @@ def compare_robustness(
     data_dir: str | Path,
     params: NetworkParams,
     ranges: Sequence[HsvRange],
-    gains: Sequence[float] = DEFAULT_GAIN_SWEEP,
 ) -> list[RobustnessRow]:
-    """Score CNN and HSV baseline on the test split under uniform gains.
+    """Score CNN and HSV baseline on the test split under each gain of
+    DEFAULT_GAIN_SWEEP.
 
     Gain g scales all three channels (noise-free), simulating a global
     brightness shift; gain 1.0 reproduces the unperturbed accuracies.
@@ -262,7 +266,7 @@ def compare_robustness(
         raise ValueError("manifest has no test split")
     patches, labels = load_patches(test_records, data_dir)
     rows = []
-    for gain in gains:
+    for gain in DEFAULT_GAIN_SWEEP:
         spec = IlluminationSpec((gain, gain, gain), 1.0, 0.0)
         lit = apply_illumination(patches, spec, [0] * len(patches))
         predicted = logits(images_to_batch(lit), params).argmax(axis=1)

@@ -1,4 +1,4 @@
-"""Image containers, color conversion, and PPM (P6) file I/O.
+"""Image containers, gray conversion, rounding, and PPM (P6) file I/O.
 
 The on-disk format is binary PPM with maxval 255: ``P6\\n{w} {h}\\n255\\n``
 followed by width*height*3 bytes row-major.  Writing emits exactly that
@@ -13,7 +13,6 @@ round half away from zero, then clamp to the target range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,12 +111,6 @@ class GrayImage:
         return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
 
 
-class HsvPixel(NamedTuple):
-    h: float  # degrees, [0, 360)
-    s: float  # [0, 1]
-    v: float  # [0, 1]
-
-
 def write_ppm(img: Image) -> bytes:
     """Serialize to the canonical P6 byte stream."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
@@ -197,30 +190,3 @@ def rgb_to_gray(img: Image) -> GrayImage:
         acc += np.multiply(rows[:, :, 2], 0.114, out=tmp)
         gray[top : top + len(rows)] = round_half_up(acc)  # luma lies in [0, 255]
     return GrayImage(gray)
-
-
-def rgb_to_hsv(r: float, g: float, b: float) -> HsvPixel:
-    """Hexcone conversion of channels in [0, 255] to (h deg, s, v) fractions.
-
-    h = 0 whenever s = 0 (achromatic input).
-    """
-    for name, c in (("r", r), ("g", g), ("b", b)):
-        if not 0 <= c <= 255:
-            raise ValueError(f"channel {name}={c} outside [0, 255]")
-    rf, gf, bf = r / 255.0, g / 255.0, b / 255.0
-    cmax = max(rf, gf, bf)
-    cmin = min(rf, gf, bf)
-    delta = cmax - cmin
-    v = cmax
-    s = 0.0 if cmax == 0 else delta / cmax
-    if delta == 0 or s == 0:
-        return HsvPixel(0.0, s, v)
-    if cmax == rf:
-        h = 60.0 * (((gf - bf) / delta) % 6.0)
-    elif cmax == gf:
-        h = 60.0 * ((bf - rf) / delta + 2.0)
-    else:
-        h = 60.0 * ((rf - gf) / delta + 4.0)
-    if h >= 360.0:
-        h -= 360.0
-    return HsvPixel(h, s, v)

@@ -167,11 +167,10 @@ class TestRobustness:
     def test_unit_gain_matches_direct_evaluation(self, tiny_dataset):
         path, manifest = tiny_dataset
         params = init_params(0)
-        rows = harness.compare_robustness(
-            manifest, path, params, WIDE_OPEN_RANGES, gains=(1.0,)
-        )
+        rows = harness.compare_robustness(manifest, path, params, WIDE_OPEN_RANGES)
+        unit, = (r for r in rows if r.gain == 1.0)
         report = harness.evaluate(manifest.split("test"), path, params)
-        assert rows[0].cnn_acc == pytest.approx(report.accuracy)
+        assert unit.cnn_acc == pytest.approx(report.accuracy)
 
     def test_default_sweep_has_seven_rows(self, tiny_dataset):
         path, manifest = tiny_dataset
@@ -465,10 +464,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "manifest.csv line 4: could not convert string to float: 'abc'" in err
 
-    @pytest.mark.parametrize("command, split", [
+    PATCH_COMMANDS = pytest.mark.parametrize("command, split", [
         ("train", "train"), ("eval", "test"), ("baseline", "train"), ("compare", "test"),
     ])
-    def test_wrong_size_patch_names_file(self, tmp_path, capsys, command, split):
+
+    @staticmethod
+    def _run_with_bad_patches(tmp_path, command, spoil):
+        """Run `command` on a 12-patch dataset whose last train and last test
+        patches went through `spoil` (PPM bytes to new bytes); returns the
+        exit code and those two patches' file names by split."""
         data = tmp_path / "data"
         model = tmp_path / "model.ckpt"
         ranges = tmp_path / "ranges.csv"
@@ -479,7 +483,7 @@ class TestCli:
         for name in ("train", "test"):
             cut[name] = manifest.split(name)[-1].filename
             path = data / cut[name]
-            path.write_bytes(write_ppm(Image(read_ppm(path.read_bytes()).pixels[:16, :16])))
+            path.write_bytes(spoil(path.read_bytes()))
         args = {
             "train": ["train", "--out", str(model), "--metrics", str(tmp_path / "m.csv"),
                       "--epochs", "1"],
@@ -488,8 +492,22 @@ class TestCli:
             "compare": ["compare", "--model", str(model), "--ranges", str(ranges),
                         "--out", str(tmp_path / "sweep.csv")],
         }[command]
-        assert cli.main(args + ["--data", str(data)]) == 3
+        return cli.main(args + ["--data", str(data)]), cut
+
+    @PATCH_COMMANDS
+    def test_wrong_size_patch_names_file(self, tmp_path, capsys, command, split):
+        code, cut = self._run_with_bad_patches(
+            tmp_path, command, lambda ppm: write_ppm(Image(read_ppm(ppm).pixels[:16, :16]))
+        )
+        assert code == 3
         assert f"{cut[split]}: expected a 32x32 patch, got 16x16" in capsys.readouterr().err
+
+    @PATCH_COMMANDS
+    def test_truncated_patch_names_file(self, tmp_path, capsys, command, split):
+        code, cut = self._run_with_bad_patches(tmp_path, command, lambda ppm: ppm[:-5])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{cut[split]}: payload holds 3067 bytes, header promises 3072" in err
 
     @pytest.mark.parametrize("csv_name, column, value, message", [
         ("manifest.csv", 4, "nan", "brightness nan outside [0.2, 1.0]"),

@@ -1,6 +1,4 @@
-"""PPM serialization, rounding, and color conversion tests."""
-
-import math
+"""PPM serialization, rounding, and gray conversion tests."""
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from rcc.image import (
     PpmTruncatedError,
     read_ppm,
     rgb_to_gray,
-    rgb_to_hsv,
     to_uint8,
     write_ppm,
 )
@@ -164,37 +161,3 @@ class TestGray:
             want = np.clip(round_half_away(luma), 0, 255).astype(np.uint8)
             assert np.array_equal(rgb_to_gray(Image(rgb)).pixels, want), r0
 
-
-class TestHsv:
-    def test_primary_corners(self):
-        assert rgb_to_hsv(255, 0, 0) == (0.0, 1.0, 1.0)
-        h, s, v = rgb_to_hsv(0, 255, 0)
-        assert (h, s, v) == (120.0, 1.0, 1.0)
-        assert rgb_to_hsv(0, 0, 255).h == 240.0
-        assert rgb_to_hsv(255, 255, 0).h == 60.0
-
-    def test_achromatic_pins_hue_to_zero(self):
-        h, s, v = rgb_to_hsv(128, 128, 128)
-        assert h == 0.0
-        assert s == 0.0
-        assert math.isclose(v, 128 / 255)
-
-    def test_black(self):
-        assert rgb_to_hsv(0, 0, 0) == (0.0, 0.0, 0.0)
-
-    def test_out_of_range_channel_rejected(self):
-        with pytest.raises(ValueError):
-            rgb_to_hsv(256, 0, 0)
-
-    @given(
-        st.floats(0, 255, allow_nan=False),
-        st.floats(0, 255, allow_nan=False),
-        st.floats(0, 255, allow_nan=False),
-    )
-    def test_ranges_hold_everywhere(self, r, g, b):
-        h, s, v = rgb_to_hsv(r, g, b)
-        assert 0.0 <= h < 360.0
-        assert 0.0 <= s <= 1.0
-        assert 0.0 <= v <= 1.0
-        if s == 0.0:
-            assert h == 0.0

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rcc import synth
-from rcc.image import Image, read_ppm, rgb_to_hsv, write_ppm
+from rcc.baseline import mean_hsv
+from rcc.image import Image, read_ppm, write_ppm
 from rcc.rng import Xoshiro256StarStar, derive_stream_seed
 from rcc.synth import (
     BACKGROUND_LEVEL,
@@ -416,10 +417,8 @@ class TestRenderers:
 
 class TestClassPalette:
     def test_hues_are_in_spectrum_order(self):
-        hues = [
-            rgb_to_hsv(*c.base_rgb).h if rgb_to_hsv(*c.base_rgb).h > 5 else 0.0
-            for c in COLOR_CLASSES
-        ]
+        pixels = np.array([[[c.base_rgb]] for c in COLOR_CLASSES], dtype=np.uint8)
+        hues = [h if h > 5 else 0.0 for h in mean_hsv(pixels)[:, 0].tolist()]
         assert hues == sorted(hues)
         assert len(set(int(h // 20) for h in hues)) == 6  # well separated
 
