@@ -71,14 +71,6 @@ class TestMeanHsv:
     def test_black(self):
         assert mean_hsv(flat((0, 0, 0))).tolist() == [[0.0, 0.0, 0.0]]
 
-    def test_converts_the_mean_pixel(self):
-        patch = np.zeros((1, 2, 1, 3), dtype=np.uint8)
-        patch[0, 0] = (255, 0, 0)
-        patch[0, 1] = (255, 0, 255)  # mean (255, 0, 127.5): magenta-red
-        (h, s, v), = mean_hsv(patch)
-        assert (s, v) == (1.0, 1.0)
-        assert math.isclose(h, 360.0 - 60.0 * 127.5 / 255)
-
     @given(patch_stacks)
     def test_ranges_hold_everywhere(self, patches):
         h, s, v = mean_hsv(patches).T

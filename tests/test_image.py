@@ -160,4 +160,3 @@ class TestGray:
             luma = 0.299 * f[:, :, 0] + 0.587 * f[:, :, 1] + 0.114 * f[:, :, 2]
             want = np.clip(round_half_away(luma), 0, 255).astype(np.uint8)
             assert np.array_equal(rgb_to_gray(Image(rgb)).pixels, want), r0
-
