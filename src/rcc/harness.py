@@ -135,8 +135,10 @@ def train(
 
     train_patches, train_labels = load_patches(train_records, data_dir)
     test_patches, test_labels = load_patches(test_records, data_dir)
-    train_xs = images_to_batch(train_patches)
-    test_xs = images_to_batch(test_patches)
+    # the steps and re-evaluations run in float32 on the float64 params;
+    # sgd_step widens each float32 gradient exactly
+    train_xs = images_to_batch(train_patches).astype(np.float32)
+    test_xs = images_to_batch(test_patches).astype(np.float32)
 
     rng = Xoshiro256StarStar(seed)
     params = init_params(seed)

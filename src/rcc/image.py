@@ -156,7 +156,7 @@ def read_ppm(data: bytes) -> Image:
         raise PpmMaxvalError(f"unsupported maxval {maxval}, only 255 is accepted")
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise PpmHeaderError("missing whitespace after maxval")
-    payload = data[pos + 1 :]
+    payload = memoryview(data)[pos + 1 :]  # Image makes the one copy
     expected = width * height * 3
     if len(payload) != expected:
         raise PpmTruncatedError(

@@ -1,10 +1,14 @@
-"""Convolutional classifier built directly on numpy float64 arrays.
+"""Convolutional classifier built directly on numpy arrays.
 
 Fixed architecture: three conv(3x3, pad 1) + ReLU + maxpool(2) stages
 taking a 32x32 RGB cube from 3 to 8 to 16 to 32 channels, then three
 fully connected layers 512 -> 64 -> 32 -> 6 with ReLU between them and
-softmax cross-entropy on top.  Everything runs in 64-bit floats so the
-finite-difference gradient check can use tight tolerances.
+softmax cross-entropy on top.  Every pass runs in the dtype of its input
+batch, casting the layer weights to it: training sends float32 batches,
+which about halve each conv layer's time, and every other caller float64
+ones, so the finite-difference gradient check can use tight tolerances.
+The params, the SGD update and checkpoints stay float64; a float32
+gradient widens exactly in `sgd_step`.
 
 `LAYER_TABLE` is the only description of that architecture: params,
 init and checkpoints are checked against or built from it, and any layer
@@ -224,13 +228,13 @@ def _tap_sum(x, filters, pad, bias=None, reverse=False):
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"kernel {m}x{n} does not fit input {h}x{w} with pad {pad}")
     wp = w + 2 * pw
-    xp = np.zeros((b, c, h + 2 * ph + 1, wp))
+    xp = np.zeros((b, c, h + 2 * ph + 1, wp), dtype=x.dtype)
     xp[:, :, ph : ph + h, pw : pw + w] = x
     flat = xp.reshape(b, c, (h + 2 * ph + 1) * wp)
     span = h_out * wp
-    y = np.empty((b, out_ch, span))
-    chunk = max(1, _CONV_CHUNK_BYTES // (8 * out_ch * span))
-    product = np.empty((min(chunk, b), out_ch, span))
+    y = np.empty((b, out_ch, span), dtype=x.dtype)
+    chunk = max(1, _CONV_CHUNK_BYTES // (x.itemsize * out_ch * span))
+    product = np.empty((min(chunk, b), out_ch, span), dtype=x.dtype)
     taps = list(np.ndindex(m, n))[:: -1 if reverse else 1]
     for start in range(0, b, chunk):
         acc = y[start : start + chunk]
@@ -308,7 +312,7 @@ def _pool_batch(x: np.ndarray, k: int, with_idx: bool = True):
 
 def _pool_backward_batch(dy, idx, in_shape, k):
     """dy at each block's winner; the k*k views cover dx, so none is unset."""
-    dx = np.empty(in_shape)
+    dx = np.empty(in_shape, dtype=dy.dtype)
     for t, view in enumerate(_pool_views(dx, k)):
         np.multiply(dy, idx == t, out=view)
     return dx
@@ -412,6 +416,8 @@ def _forward(
             weight, bias = override
         else:
             weight, bias = getattr(layer, layer.weight_name), layer.bias
+        weight = weight.astype(x.dtype, copy=False)
+        bias = bias.astype(x.dtype, copy=False)
         if isinstance(layer, ConvLayerParams):
             z = _conv_batch(x, weight, bias, layer.padding)
             a = np.maximum(z, 0.0)
@@ -440,19 +446,20 @@ def _backward(
     for i in range(last, -1, -1):
         name, layer = params.layers[i]
         x, z, idx = cache[i]
+        weight = getattr(layer, layer.weight_name).astype(dy.dtype, copy=False)
         if isinstance(layer, ConvLayerParams):
             # the ReLU mask at pooled size: a block's winner has z > 0 exactly
             # when its maximum, the next layer's input, is above 0
             g = dy.reshape(idx.shape) * (cache[i + 1][0].reshape(idx.shape) > 0)
             da = _pool_backward_batch(g, idx, z.shape, POOL_WINDOW)
             d_weight, d_bias, dy = _conv_backward_batch(
-                da, x, layer.filters, layer.padding, input_grad=i > 0
+                da, x, weight, layer.padding, input_grad=i > 0
             )
         else:
             if i < last:
                 dy = dy * (z > 0)
             d_weight, d_bias = dy.T @ x, dy.sum(axis=0)
-            dy = dy @ layer.weights
+            dy = dy @ weight
         grads[f"{name}.{layer.weight_name}"] = d_weight
         grads[f"{name}.bias"] = d_bias
     return grads

@@ -93,7 +93,7 @@ class TestTrain:
     def test_diverging_run_raises_numeric_error(self, tiny_dataset):
         path, manifest = tiny_dataset
         with pytest.raises(NumericError, match="epoch 2"):
-            harness.train(manifest, path, epochs=5, lr=1e6, batch=2, seed=0)
+            harness.train(manifest, path, epochs=5, lr=20, batch=2, seed=0)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_reevaluation_names_the_epoch(self, tiny_dataset):
@@ -101,7 +101,7 @@ class TestTrain:
         # end-of-epoch forward pass overflows
         path, manifest = tiny_dataset
         with pytest.raises(NumericError, match="non-finite logits in epoch 1"):
-            harness.train(manifest, path, epochs=5, lr=1e8, batch=2, seed=0)
+            harness.train(manifest, path, epochs=5, lr=50, batch=2, seed=0)
 
     def test_metrics_csv_shape(self):
         metrics = [harness.EpochMetrics(1, 1.5, 0.3, 1.6, 0.25)]
@@ -409,7 +409,7 @@ class TestCli:
         code = cli.main(
             ["train", "--data", str(data), "--out", str(tmp_path / "model.ckpt"),
              "--metrics", str(tmp_path / "metrics.csv"), "--epochs", "5",
-             "--lr", "1e6", "--batch", "2"]
+             "--lr", "20", "--batch", "2"]
         )
         assert code == 4
         assert "epoch 2" in capsys.readouterr().err

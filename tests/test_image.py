@@ -117,6 +117,21 @@ class TestPpm:
         with pytest.raises(PpmTruncatedError):
             read_ppm(b"P6\n1 1\n255\n" + b"\x00" * 4)
 
+    @pytest.mark.parametrize("size", [5, 16])
+    def test_payload_length_error_names_both_sizes(self, size):
+        with pytest.raises(
+            PpmTruncatedError, match=f"^payload holds {size} bytes, header promises 12$"
+        ):
+            read_ppm(b"P6\n2 2\n255\n" + b"\x00" * size)
+
+    def test_image_owns_its_pixels_when_parsed_from_a_bytearray(self):
+        pixels = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+        buf = bytearray(write_ppm(Image(pixels)))
+        img = read_ppm(buf)
+        buf[-24:] = bytes(24)
+        buf += b"resizable again"
+        assert np.array_equal(img.pixels, pixels)
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(PpmHeaderError):
             read_ppm(b"P6\n0 1\n255\n")

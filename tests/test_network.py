@@ -452,6 +452,48 @@ class TestFcAndLoss:
         self._assert_labels_rejected(np.array([3]))
 
 
+class TestBatchDtype:
+    """Every pass runs in its batch's dtype on the float64 params: training
+    sends float32 batches, and every other caller float64 ones."""
+
+    # norm-relative distance of a float32 gradient from the float64 one on
+    # the same batch; the float32 rounding of ~1e-7 grows to at most ~6e-7
+    # through the six layers
+    F32_GRAD_TOLERANCE = 1e-5
+
+    def test_float32_gradients_are_float32_and_near_float64(self):
+        params = init_params(0)
+        xs, labels = _random_inputs(16), np.arange(16) % len(CLASS_NAMES)
+        loss64, grads64 = loss_and_gradients(xs, labels, params)
+        loss32, grads32 = loss_and_gradients(xs.astype(np.float32), labels, params)
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        assert sorted(grads32) == sorted(name for name, _ in params.tensors())
+        for name, grad in grads32.items():
+            assert grad.dtype == np.float32, name
+            want = grads64[name]
+            error = np.linalg.norm(grad - want) / np.linalg.norm(want)
+            assert error <= self.F32_GRAD_TOLERANCE, name
+
+    def test_float32_forward_caches_only_float32(self):
+        cache: list = []
+        out = net._forward(init_params(0), _random_inputs(3).astype(np.float32), cache=cache)
+        assert out.dtype == np.float32
+        arrays = [a for entry in cache for a in entry if a is not None]
+        assert len(arrays) == 2 * len(net.LAYER_TABLE) + net._CONV_LAYERS
+        for a in arrays:
+            assert a.dtype == (np.float32 if a.dtype.kind == "f" else np.uint8)
+
+    def test_float32_logits_equal_the_cached_forward_pass(self):
+        params = init_params(0)
+        xs = _random_inputs(net._EVAL_BLOCK + 1).astype(np.float32)
+        out = net.logits(xs, params)
+        assert out.dtype == np.float32
+        assert out.tobytes() == net._forward(params, xs, cache=[]).tobytes()
+
+    def test_float64_batch_gives_float64_logits(self):
+        assert net.logits(_random_inputs(2), init_params(0)).dtype == np.float64
+
+
 class TestSgd:
     def test_two_steps_with_unit_gradient(self):
         # v1 = -0.1, v2 = 0.9 * v1 - 0.1 = -0.19, so theta moves by -0.29
