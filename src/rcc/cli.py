@@ -111,12 +111,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     manifest = synth.read_manifest(args.data)
     params = _load_model(args.model)
-    report = harness.evaluate(manifest.split("test"), args.data, params)
-    payload = harness.report_to_json_dict(report, params.class_names)
-    Path(args.report).write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"test accuracy {report.accuracy:.4f} ({args.report})")
+    report = harness.evaluate(manifest, args.data, params)
+    Path(args.report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"test accuracy {report['accuracy']:.4f} ({args.report})")
     return EXIT_OK
 
 
@@ -144,19 +141,15 @@ def cmd_detect(args) -> int:
 
 def cmd_baseline(args) -> int:
     manifest = synth.read_manifest(args.data)
-    if not manifest.split("test"):
-        raise ValueError("manifest has no test split")
     if args.calibrate:
-        if not manifest.split("train"):
-            raise ValueError("manifest has no train split")
-        patches, labels = harness.load_patches(manifest.split("train"), args.data)
-        ranges = baseline_mod.calibrate_ranges(patches, labels)
-        Path(args.ranges).write_text(
-            baseline_mod.ranges_to_csv(ranges), encoding="utf-8"
+        ranges = baseline_mod.calibrate_ranges(
+            *harness.load_split(manifest, args.data, "train")
         )
     else:
         ranges = _load_ranges(args.ranges)
-    patches, labels = harness.load_patches(manifest.split("test"), args.data)
+    patches, labels = harness.load_split(manifest, args.data, "test")
+    if args.calibrate:  # after the test split loads, so a failed run writes none
+        Path(args.ranges).write_text(baseline_mod.ranges_to_csv(ranges), encoding="utf-8")
     hits = baseline_mod.count_hsv_hits(patches, labels, ranges)
     action = "calibrated" if args.calibrate else "loaded"
     print(

@@ -59,20 +59,6 @@ class EpochMetrics:
                 raise ValueError(f"{name} {value} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Accuracy with a 6x6 confusion matrix (rows true, columns predicted)."""
-
-    accuracy: float
-    confusion: np.ndarray
-    per_class_accuracy: tuple[float, ...]
-
-    def __post_init__(self):
-        confusion = np.asarray(self.confusion, dtype=np.int64)
-        confusion.setflags(write=False)
-        object.__setattr__(self, "confusion", confusion)
-
-
 def load_patches(
     records: Sequence[SampleRecord], data_dir: str | Path
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,6 +80,17 @@ def load_patches(
         patches[i] = img.pixels
     labels = np.array([r.class_index for r in records], dtype=np.int64)
     return patches, labels
+
+
+def load_split(
+    manifest: SampleManifest, data_dir: str | Path, which: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """`load_patches` of the manifest's `which` split; an empty split is a
+    ValueError naming it."""
+    records = manifest.split(which)
+    if not records:
+        raise ValueError(f"manifest has no {which} split")
+    return load_patches(records, data_dir)
 
 
 def _split_stats(
@@ -128,13 +125,8 @@ def train(
         raise ValueError(f"batch size must be >= 1, got {batch}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    train_records = manifest.split("train")
-    test_records = manifest.split("test")
-    if not train_records or not test_records:
-        raise ValueError("manifest must contain both train and test samples")
-
-    train_patches, train_labels = load_patches(train_records, data_dir)
-    test_patches, test_labels = load_patches(test_records, data_dir)
+    train_patches, train_labels = load_split(manifest, data_dir, "train")
+    test_patches, test_labels = load_split(manifest, data_dir, "test")
     # the steps and re-evaluations run in float32 on the float64 params;
     # sgd_step widens each float32 gradient exactly
     train_xs = images_to_batch(train_patches).astype(np.float32)
@@ -144,7 +136,7 @@ def train(
     params = init_params(seed)
     velocity = None
     metrics: list[EpochMetrics] = []
-    order = list(range(len(train_records)))
+    order = list(range(len(train_labels)))
     for epoch in range(1, epochs + 1):
         rng.shuffle(order)
         try:
@@ -177,35 +169,24 @@ def metrics_to_csv(metrics: Sequence[EpochMetrics]) -> str:
 
 
 def evaluate(
-    records: Sequence[SampleRecord], data_dir: str | Path, params: NetworkParams
-) -> EvalReport:
-    """Load a manifest split from disk and score its argmax predictions."""
-    if not records:
-        raise ValueError("cannot evaluate an empty split")
-    patches, labels = load_patches(records, data_dir)
+    manifest: SampleManifest, data_dir: str | Path, params: NetworkParams
+) -> dict:
+    """Score the test split's argmax predictions: the accuracy, each class's
+    recall by name, and the confusion matrix (rows true, columns predicted)
+    as lists; the record `rcc eval` writes."""
+    patches, labels = load_split(manifest, data_dir, "test")
     predicted = logits(images_to_batch(patches), params).argmax(axis=1)
     n = len(params.class_names)
     confusion = np.zeros((n, n), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
     row_sums = confusion.sum(axis=1)
-    per_class = tuple(
-        float(confusion[i, i] / row_sums[i]) if row_sums[i] else 0.0
-        for i in range(n)
-    )
-    return EvalReport(
-        accuracy=float((predicted == labels).mean()),
-        confusion=confusion,
-        per_class_accuracy=per_class,
-    )
-
-
-def report_to_json_dict(report: EvalReport, class_names: Sequence[str]) -> dict:
     return {
-        "accuracy": report.accuracy,
+        "accuracy": float((predicted == labels).mean()),
         "per_class_accuracy": {
-            name: acc for name, acc in zip(class_names, report.per_class_accuracy)
+            name: float(confusion[i, i] / row_sums[i]) if row_sums[i] else 0.0
+            for i, name in enumerate(params.class_names)
         },
-        "confusion": report.confusion.tolist(),
+        "confusion": confusion.tolist(),
     }
 
 
@@ -263,10 +244,7 @@ def compare_robustness(
     Gain g scales all three channels (noise-free), simulating a global
     brightness shift; gain 1.0 reproduces the unperturbed accuracies.
     """
-    test_records = manifest.split("test")
-    if not test_records:
-        raise ValueError("manifest has no test split")
-    patches, labels = load_patches(test_records, data_dir)
+    patches, labels = load_split(manifest, data_dir, "test")
     rows = []
     for gain in DEFAULT_GAIN_SWEEP:
         spec = IlluminationSpec((gain, gain, gain), 1.0, 0.0)

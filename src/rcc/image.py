@@ -143,17 +143,18 @@ def read_ppm(data: bytes) -> Image:
     """Parse a binary PPM (P6, maxval 255) byte stream."""
     if len(data) < 2 or data[:2] != b"P6":
         raise PpmHeaderError("missing P6 magic number")
+    tokens, pos = _read_header_tokens(data, 2, 3)
     try:
-        tokens, pos = _read_header_tokens(data, 2, 3)
         width, height, maxval = (int(t) for t in tokens)
-    except PpmHeaderError:
-        raise
     except ValueError as exc:
         raise PpmHeaderError(f"non-numeric header token: {exc}") from exc
     if width < 1 or height < 1:
         raise PpmHeaderError(f"invalid dimensions {width}x{height}")
     if maxval != 255:
         raise PpmMaxvalError(f"unsupported maxval {maxval}, only 255 is accepted")
+    for token in tokens:  # int() also takes a sign and underscores; "-1" fails above
+        if not token.isdigit():
+            raise PpmHeaderError(f"header token {token!r} is not ASCII digits")
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise PpmHeaderError("missing whitespace after maxval")
     payload = memoryview(data)[pos + 1 :]  # Image makes the one copy

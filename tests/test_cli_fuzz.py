@@ -5,7 +5,8 @@ in a small dataset, then runs `eval`, `baseline` and `compare` on it; or
 it cuts the checkpoint or a scene PPM short, or flips one of its bits,
 then runs `eval` and `detect` on it. Whatever the damage, each command
 must return an exit code in 0-4 and raise nothing.  A manifest with an
-empty split gets the exit code pinned for each command.
+empty split gets the exit code pinned for each command, and the one message
+naming the missing split.
 """
 
 import contextlib
@@ -67,9 +68,9 @@ def damage(draw, data: bytes) -> bytes:
     return data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1 :]
 
 
-def run_quietly(argv) -> int:
+def run_quietly(argv, stderr=None) -> int:
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(stderr or io.StringIO()):
         return cli.main(argv)
 
 
@@ -117,7 +118,7 @@ def test_corrupt_checkpoint_or_scene_exits_with_a_contract_code(dataset, data):
 
 
 # manifest rows kept -> the code of each command: 3 when a split it needs
-# is missing, else 0
+# is missing, with a message naming that split, else 0
 EMPTY_SPLIT_CODES = {
     "train": {"train": 3, "eval": 3, "baseline": 3, "calibrate": 3, "compare": 3},
     "test": {"train": 3, "eval": 0, "baseline": 0, "calibrate": 3, "compare": 0},
@@ -143,9 +144,16 @@ def test_empty_split_exits_with_the_pinned_code(dataset, tmp_path, kept):
         "compare": ["compare", "--data", str(path), *model, *ranges,
                     "--out", str(tmp_path / "sweep.csv")],
     }
+    errors = {name: io.StringIO() for name in commands}
     (path / "manifest.csv").write_text("\n".join([header, *rows]) + "\n")
     try:
-        codes = {name: run_quietly(argv) for name, argv in commands.items()}
+        codes = {name: run_quietly(argv, errors[name]) for name, argv in commands.items()}
     finally:
         (path / "manifest.csv").write_text(texts["manifest.csv"])
     assert codes == EMPTY_SPLIT_CODES[kept]
+    missing = {"train", "test"} - {kept}
+    for name, code in codes.items():
+        err = errors[name].getvalue()
+        if code == 3:
+            assert any(f"manifest has no {split} split" in err for split in missing), (
+                name, err)

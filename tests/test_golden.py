@@ -15,6 +15,14 @@ and the test split's hits at each gain of `DEFAULT_GAIN_SWEEP` (noise-free
 `apply_illumination`, as `compare_robustness` lights it).  No model is
 involved, so no BLAS build can move them.
 
+`SCORING_SHA256` pins the bytes `rcc eval` and `rcc compare` write on
+`generate_dataset(seed=0)`, for the model `init_params(3)` with every tensor
+rounded to a multiple of 2**-20 and the ranges `rcc baseline --calibrate`
+fits.  Its weights come from numpy's `log`, whose last bits depend on the
+CPU path numpy picks; the rounding drops those bits, so the pin holds with
+`NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"` too.  Seed 3's
+predictions spread over three classes, where seed 0's all fall in one.
+
 `DETECT_BOXES` pins `detect_bounding_box` in both segmenter modes on the
 24 scenes of `generate_dataset(seed=0)`, then on the 640x480 scene, as
 (x, y, w, h).  A changed mask can still give the same boxes, so
@@ -28,9 +36,10 @@ import dataclasses
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rcc import segment
+from rcc import cli, segment
 from rcc.baseline import calibrate_ranges, count_hsv_hits, ranges_to_csv
 from rcc.harness import DEFAULT_GAIN_SWEEP, load_patches
 from rcc.image import read_ppm, write_ppm
@@ -53,6 +62,10 @@ INIT_CHECKPOINT_SHA256 = {
 }
 BASELINE_RANGES_SHA256 = "029e7d19aab7dba9c99597d07330627f809126afa036dec10692c93fa113d8c7"
 BASELINE_SWEEP_HITS = [26, 34, 37, 39, 36, 34, 30]
+SCORING_SHA256 = {
+    "report.json": "c8495ba53945f2d87e4697dd7d206425e37e7b906cc2ee9c38ccdbd07f8bcb62",
+    "sweep.csv": "d57edec476f5c443e4b01a94409400c9e9afc4d915563a7a6a7f23548a9ddc38",
+}
 DETECT_BOXES = {
     "adaptive": [
         (55, 29, 36, 33), (35, 29, 32, 56), (30, 25, 44, 52), (60, 56, 48, 33),
@@ -171,3 +184,26 @@ def test_baseline_matches_golden(seed0):
         for gain in DEFAULT_GAIN_SWEEP
     ]
     assert hits == BASELINE_SWEEP_HITS
+
+
+def test_scoring_outputs_match_golden(seed0, tmp_path, capsys):
+    path, _ = seed0
+    params = init_params(3)
+    params = params.replace_tensors(
+        {name: np.round(t * 2**20) / 2**20 for name, t in params.tensors()}
+    )
+    model, ranges = tmp_path / "model.ckpt", tmp_path / "ranges.csv"
+    model.write_bytes(save_checkpoint(params))
+    data = ["--data", str(path)]
+    for argv in (
+        ["eval", *data, "--model", str(model), "--report", str(tmp_path / "report.json")],
+        ["baseline", *data, "--ranges", str(ranges), "--calibrate"],
+        ["compare", *data, "--model", str(model), "--ranges", str(ranges),
+         "--out", str(tmp_path / "sweep.csv")],
+    ):
+        assert cli.main(argv) == 0, argv[0]
+    actual = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in SCORING_SHA256
+    }
+    assert actual == SCORING_SHA256

@@ -116,23 +116,25 @@ class TestEvaluate:
     def test_confusion_matches_hand_count(self, tiny_dataset):
         path, manifest = tiny_dataset
         params = init_params(0)
-        report = harness.evaluate(manifest.split("test"), path, params)
-        assert report.confusion.sum() == 6
-        assert report.confusion.shape == (6, 6)
-        assert report.accuracy == pytest.approx(
-            np.trace(report.confusion) / 6
-        )
+        report = harness.evaluate(manifest, path, params)
+        confusion = np.array(report["confusion"])
+        assert confusion.sum() == 6
+        assert confusion.shape == (6, 6)
+        assert report["accuracy"] == pytest.approx(np.trace(confusion) / 6)
 
-    def test_json_dict_layout(self):
-        report = harness.EvalReport(
-            accuracy=0.5,
-            confusion=np.eye(6, dtype=np.int64),
-            per_class_accuracy=tuple([1.0] * 6),
-        )
-        payload = harness.report_to_json_dict(report, ("a", "b", "c", "d", "e", "f"))
-        assert payload["accuracy"] == 0.5
-        assert payload["per_class_accuracy"]["c"] == 1.0
-        assert payload["confusion"][2][2] == 1
+    def test_json_dict_layout(self, tiny_dataset):
+        path, manifest = tiny_dataset
+        params = init_params(0)
+        report = harness.evaluate(manifest, path, params)
+        assert list(report) == ["accuracy", "per_class_accuracy", "confusion"]
+        assert isinstance(report["accuracy"], float)
+        assert list(report["per_class_accuracy"]) == list(params.class_names)
+        confusion = report["confusion"]
+        assert all(type(n) is int for row in confusion for n in row)
+        for i, name in enumerate(params.class_names):
+            row_sum = sum(confusion[i])
+            expected = confusion[i][i] / row_sum if row_sum else 0.0
+            assert report["per_class_accuracy"][name] == expected
 
 
 class TestDetectAndAnnotate:
@@ -169,8 +171,8 @@ class TestRobustness:
         params = init_params(0)
         rows = harness.compare_robustness(manifest, path, params, WIDE_OPEN_RANGES)
         unit, = (r for r in rows if r.gain == 1.0)
-        report = harness.evaluate(manifest.split("test"), path, params)
-        assert unit.cnn_acc == pytest.approx(report.accuracy)
+        report = harness.evaluate(manifest, path, params)
+        assert unit.cnn_acc == pytest.approx(report["accuracy"])
 
     def test_default_sweep_has_seven_rows(self, tiny_dataset):
         path, manifest = tiny_dataset
@@ -345,6 +347,28 @@ class TestCli:
         )
         assert code == 3
         assert "no test split" in capsys.readouterr().err
+
+    def test_failed_calibration_writes_no_ranges_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        ranges = tmp_path / "r.csv"
+        manifest = generate_dataset(data, total=12, train=6, seed=0, scenes=0)
+        emptied = manifest.split("test")[-1].filename
+        (data / emptied).write_bytes(b"")
+        code = cli.main(
+            ["baseline", "--data", str(data), "--ranges", str(ranges), "--calibrate"]
+        )
+        assert code == 3
+        assert f"{emptied}: missing P6 magic number" in capsys.readouterr().err
+        assert not ranges.exists()
+
+    def test_signed_ppm_header_is_io_error(self, tmp_path, capsys):
+        model = tmp_path / "model.ckpt"
+        model.write_bytes(save_checkpoint(init_params(0)))
+        image = tmp_path / "signed.ppm"
+        image.write_bytes(b"P6\n+2 1_0\n255\n" + bytes(60))
+        code = cli.main(["detect", "--image", str(image), "--model", str(model)])
+        assert code == 3
+        assert "header token b'+2' is not ASCII digits" in capsys.readouterr().err
 
     def test_calibrate_without_train_split_is_io_error(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -105,6 +105,14 @@ class TestPpm:
         with pytest.raises(PpmHeaderError):
             read_ppm(b"P6\nx 1\n255\n" + b"\x00" * 3)
 
+    @pytest.mark.parametrize("header", [
+        b"+10 2 255", b"10 +2 255", b"10 2 +255", b"1_0 2 255", b"10 0_2 255", b"10 2 25_5",
+    ], ids=["width+", "height+", "maxval+", "width_", "height_", "maxval_"])
+    def test_header_token_must_be_ascii_digits(self, header):
+        # int() reads each as 10, 2 or 255, and the payload fits a 10x2 image
+        with pytest.raises(PpmHeaderError, match="is not ASCII digits"):
+            read_ppm(b"P6\n" + header + b"\n" + bytes(60))
+
     def test_wrong_maxval(self):
         with pytest.raises(PpmMaxvalError):
             read_ppm(b"P6\n1 1\n128\n" + b"\x00" * 3)

@@ -65,6 +65,20 @@ def test_only_synth_imports_csv():
     assert importers == ["synth.py"]
 
 
+def test_only_load_split_calls_load_patches():
+    """One place checks that a manifest split is there: every split the
+    package scores comes through `harness.load_split`."""
+    callers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "load_patches" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.append(f"{path.name}: {getattr(top, 'name', top.lineno)}")
+    assert callers == ["harness.py: load_split"]
+
+
 # One-sample views of batched code that only callers outside the package
 # use: the conv and pool, as oracles for the acceptance checks, and
 # `render_scene`, which perfbench's set-up and the golden test call.
