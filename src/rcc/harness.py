@@ -93,6 +93,13 @@ def load_split(
     return load_patches(records, data_dir)
 
 
+def _float32_batch(patches: np.ndarray) -> np.ndarray:
+    """A uint8 patch stack as the float32 batch that training and test-split
+    scoring feed the float64 params; sgd_step widens each float32 gradient
+    exactly."""
+    return images_to_batch(patches).astype(np.float32)
+
+
 def _split_stats(
     xs: np.ndarray, labels: np.ndarray, params: NetworkParams
 ) -> tuple[float, float]:
@@ -127,10 +134,8 @@ def train(
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     train_patches, train_labels = load_split(manifest, data_dir, "train")
     test_patches, test_labels = load_split(manifest, data_dir, "test")
-    # the steps and re-evaluations run in float32 on the float64 params;
-    # sgd_step widens each float32 gradient exactly
-    train_xs = images_to_batch(train_patches).astype(np.float32)
-    test_xs = images_to_batch(test_patches).astype(np.float32)
+    train_xs = _float32_batch(train_patches)
+    test_xs = _float32_batch(test_patches)
 
     rng = Xoshiro256StarStar(seed)
     params = init_params(seed)
@@ -175,7 +180,7 @@ def evaluate(
     recall by name, and the confusion matrix (rows true, columns predicted)
     as lists; the record `rcc eval` writes."""
     patches, labels = load_split(manifest, data_dir, "test")
-    predicted = logits(images_to_batch(patches), params).argmax(axis=1)
+    predicted = logits(_float32_batch(patches), params).argmax(axis=1)
     n = len(params.class_names)
     confusion = np.zeros((n, n), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
@@ -249,7 +254,7 @@ def compare_robustness(
     for gain in DEFAULT_GAIN_SWEEP:
         spec = IlluminationSpec((gain, gain, gain), 1.0, 0.0)
         lit = apply_illumination(patches, spec, [0] * len(patches))
-        predicted = logits(images_to_batch(lit), params).argmax(axis=1)
+        predicted = logits(_float32_batch(lit), params).argmax(axis=1)
         rows.append(
             RobustnessRow(
                 gain=gain,

@@ -143,6 +143,8 @@ def read_ppm(data: bytes) -> Image:
     """Parse a binary PPM (P6, maxval 255) byte stream."""
     if len(data) < 2 or data[:2] != b"P6":
         raise PpmHeaderError("missing P6 magic number")
+    if not (data[2:3].isspace() or data[2:3] == b"#"):  # else "P632 32 255" reads as 32x32
+        raise PpmHeaderError("missing whitespace after the P6 magic number")
     tokens, pos = _read_header_tokens(data, 2, 3)
     try:
         width, height, maxval = (int(t) for t in tokens)

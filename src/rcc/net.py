@@ -4,11 +4,13 @@ Fixed architecture: three conv(3x3, pad 1) + ReLU + maxpool(2) stages
 taking a 32x32 RGB cube from 3 to 8 to 16 to 32 channels, then three
 fully connected layers 512 -> 64 -> 32 -> 6 with ReLU between them and
 softmax cross-entropy on top.  Every pass runs in the dtype of its input
-batch, casting the layer weights to it: training sends float32 batches,
-which about halve each conv layer's time, and every other caller float64
-ones, so the finite-difference gradient check can use tight tolerances.
-The params, the SGD update and checkpoints stay float64; a float32
-gradient widens exactly in `sgd_step`.
+batch, casting the layer weights to it.  Training and the test-split
+scoring of `harness.evaluate` and `harness.compare_robustness` send
+float32 batches, which about halve each conv layer's time; detection
+sends float64 ones, so the confidence it reports carries no float32
+rounding, and so does the finite-difference gradient check, which needs
+tight tolerances.  The params, the SGD update and checkpoints stay
+float64; a float32 gradient widens exactly in `sgd_step`.
 
 `LAYER_TABLE` is the only description of that architecture: params,
 init and checkpoints are checked against or built from it, and any layer

@@ -11,8 +11,10 @@ every image's draws, the renderer paints its float stack, and one shared
 tail adds the jitter, rounds the stack and lights the images under one
 illuminant in one call. `generate_dataset` renders in blocks of at most
 BLOCK_VALUES channel values, so no count of files draws a larger array
-than that; the tail and the lighting work in chunks of CHUNK_VALUES
-values, so only the painted canvas is a whole-stack float array.
+than that; the tail and the lighting's noise work in chunks of
+CHUNK_VALUES values, so only the painted canvas is a whole-stack float
+array. Lighting looks each channel value up in a table of the 256 values'
+noise-free light, computed once per call.
 """
 
 from __future__ import annotations
@@ -122,31 +124,42 @@ def apply_illumination(
 ) -> np.ndarray:
     """Per channel: out = clamp(round(255*(gain*c/255)^gamma) + noise).
 
-    `pixels` is a stack of images, (n, h, w, 3) uint8, lit a chunk of at
-    most CHUNK_VALUES values at a time. Image i's noise is Gaussian with
-    the spec's std, drawn row-major from a stream seeded with
-    noise_seeds[i]; std 0 draws nothing.
+    `pixels` is a stack of images, (n, h, w, 3) uint8. The noise-free light
+    of all 256 values of each channel is computed once, as a (256, 3) table,
+    and gathered per channel. Image i's noise is Gaussian with the spec's
+    std, drawn row-major from a stream seeded with noise_seeds[i], and added
+    to the gathered values a chunk of at most CHUNK_VALUES values at a time;
+    std 0 draws nothing.
     """
     if len(noise_seeds) != len(pixels):
         raise ValueError(f"{len(noise_seeds)} noise seeds for {len(pixels)} images")
+    light = np.arange(256, dtype=np.float64)[:, None] * np.array(spec.gain, dtype=np.float64)
+    light /= 255.0
+    light **= spec.gamma
+    light *= 255.0
+    round_half_up(light)  # light >= 0
     n, count = len(pixels), math.prod(pixels.shape[1:-1])
     images = pixels.reshape(n, count, 3)
+    if spec.noise_std == 0:
+        return _gather(to_uint8(light), images).reshape(pixels.shape)
     out = np.empty(images.shape, dtype=np.uint8)
-    if spec.noise_std > 0:
-        # Box-Muller takes uniform pairs; an odd size drops its last sine sample
-        raw = fill_streams(noise_seeds, 3 * count + count % 2)
+    # Box-Muller takes uniform pairs; an odd size drops its last sine sample
+    raw = fill_streams(noise_seeds, 3 * count + count % 2)
     for chunk, draws in _chunks(n, count):
-        lit = images[chunk].astype(np.float64)
-        lit *= np.array(spec.gain, dtype=np.float64)
-        lit /= 255.0
-        lit **= spec.gamma
-        lit *= 255.0
-        round_half_up(lit)  # lit >= 0
-        if spec.noise_std > 0:
-            noise = box_muller(doubles_from(raw[draws]))[:, : 3 * lit.shape[1]]
-            lit += noise.reshape(lit.shape) * spec.noise_std
+        lit = _gather(light, images[chunk])
+        noise = box_muller(doubles_from(raw[draws]))[:, : 3 * lit.shape[1]]
+        lit += noise.reshape(lit.shape) * spec.noise_std
         out[chunk] = to_uint8(lit)
     return out.reshape(pixels.shape)
+
+
+def _gather(table: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """table[v, c] for each channel value v of channel c of an (n, count, 3)
+    uint8 stack, in the table's dtype."""
+    out = np.empty(images.shape, dtype=table.dtype)
+    for c in range(3):
+        out[..., c] = np.take(table[:, c], images[..., c])
+    return out
 
 
 def _brightness(value: float) -> float:

@@ -52,6 +52,16 @@ def _overflowing_model(path):
     path.write_bytes(save_checkpoint(params.replace_tensors(tensors)))
 
 
+def _beyond_float32_model(path):
+    """A checkpoint with one fc3 weight of 1e39: finite in float64, but
+    infinite once cast to float32."""
+    params = init_params(0)
+    tensors = dict(params.tensors())
+    tensors["fc3.weights"] = tensors["fc3.weights"].copy()
+    tensors["fc3.weights"][0, 0] = 1e39
+    path.write_bytes(save_checkpoint(params.replace_tensors(tensors)))
+
+
 def _five_by_five_conv1_model(path):
     """A checkpoint whose conv1 is 8x3x5x5 with padding 2: its maps still
     chain to fc1's 512 inputs, but it is not the fixed architecture."""
@@ -456,6 +466,43 @@ class TestCli:
         assert cli.main([command, "--model", str(model)] + args) == 4
         assert "non-finite logits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.filterwarnings("error")
+    def test_model_beyond_float32_range_is_numeric_error(self, tiny_dataset, tmp_path, capsys, command):
+        # eval and compare score in float32, so the weight casts to inf
+        data, _ = tiny_dataset
+        model = tmp_path / "model.ckpt"
+        ranges = tmp_path / "ranges.csv"
+        _beyond_float32_model(model)
+        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        args = {
+            "eval": ["--report", str(tmp_path / "report.json")],
+            "compare": ["--ranges", str(ranges), "--out", str(tmp_path / "sweep.csv")],
+        }[command]
+        assert cli.main([command, "--data", str(data), "--model", str(model)] + args) == 4
+        assert "non-finite logits" in capsys.readouterr().err
+
+    def test_every_test_split_score_agrees(self, tmp_path, capsys):
+        # training re-evaluates the test split each epoch; eval and the
+        # compare sweep's gain 1.0 score it again and must agree exactly
+        data = tmp_path / "data"
+        model, metrics = tmp_path / "model.ckpt", tmp_path / "metrics.csv"
+        report, sweep = tmp_path / "report.json", tmp_path / "sweep.csv"
+        ranges = tmp_path / "ranges.csv"
+        generate_dataset(data, seed=0, scenes=0)
+        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        for argv in (
+            ["train", "--out", str(model), "--metrics", str(metrics), "--epochs", "2"],
+            ["eval", "--model", str(model), "--report", str(report)],
+            ["compare", "--model", str(model), "--ranges", str(ranges), "--out", str(sweep)],
+        ):
+            assert cli.main(argv + ["--data", str(data)]) == 0
+        val_acc = float(metrics.read_text().splitlines()[-1].split(",")[4])
+        accuracy = json.loads(report.read_text())["accuracy"]
+        unit_gain = [line.split(",") for line in sweep.read_text().splitlines()[1:]
+                     if float(line.split(",")[0]) == 1.0]
+        assert val_acc == accuracy == float(unit_gain[0][1])
+
     @pytest.mark.parametrize("command", ["eval", "detect-adaptive", "detect-sobel"])
     def test_model_off_the_layer_table_is_io_error(
         self, tiny_dataset, tmp_path, capsys, command
@@ -532,6 +579,13 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert f"{cut[split]}: payload holds 3067 bytes, header promises 3072" in err
+
+    def test_magic_without_whitespace_names_file(self, tmp_path, capsys):
+        # "P6\n32 32\n255\n" becomes "P632 32\n255\n", which would read as 32x32
+        code, cut = self._run_with_bad_patches(tmp_path, "train", lambda ppm: b"P6" + ppm[3:])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{cut['train']}: missing whitespace after the P6 magic number" in err
 
     @pytest.mark.parametrize("csv_name, column, value, message", [
         ("manifest.csv", 4, "nan", "brightness nan outside [0.2, 1.0]"),

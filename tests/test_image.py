@@ -101,6 +101,17 @@ class TestPpm:
         with pytest.raises(PpmHeaderError):
             read_ppm(b"P5\n1 1\n255\n\x00")
 
+    @pytest.mark.parametrize("data", [
+        b"P61 1 255\n" + bytes(3), b"P632 32 255\n" + bytes(3072), b"P6",
+    ], ids=["1x1", "32x32", "magic-only"])
+    def test_magic_must_be_followed_by_whitespace(self, data):
+        with pytest.raises(PpmHeaderError, match="missing whitespace after the P6 magic"):
+            read_ppm(data)
+
+    @pytest.mark.parametrize("sep", [b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#c\n"])
+    def test_magic_may_be_followed_by_any_whitespace_or_a_comment(self, sep):
+        assert read_ppm(b"P6" + sep + b"1 1 255\n" + bytes(3)).width == 1
+
     def test_non_numeric_header(self):
         with pytest.raises(PpmHeaderError):
             read_ppm(b"P6\nx 1\n255\n" + b"\x00" * 3)

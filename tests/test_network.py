@@ -453,8 +453,9 @@ class TestFcAndLoss:
 
 
 class TestBatchDtype:
-    """Every pass runs in its batch's dtype on the float64 params: training
-    sends float32 batches, and every other caller float64 ones."""
+    """Every pass runs in its batch's dtype on the float64 params: training,
+    eval and compare send float32 batches, detect and gradcheck float64
+    ones."""
 
     # norm-relative distance of a float32 gradient from the float64 one on
     # the same batch: float32 rounds at ~6e-8, and this batch's worst

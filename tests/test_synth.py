@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rcc import synth
 from rcc.baseline import mean_hsv
@@ -165,6 +166,37 @@ class TestIllumination:
         pixels = np.zeros((3, 4, 4, 3), dtype=np.uint8)
         with pytest.raises(ValueError, match="2 noise seeds for 3 images"):
             apply_illumination(pixels, IlluminationSpec(), [0, 1])
+
+
+# every channel value in every channel, so the whole light table is read
+EVERY_VALUE = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(1, 16, 16, 3)
+
+
+class TestTableLighting:
+    """`apply_illumination` gathers from a table of the 256 channel values'
+    light; the per-pixel arithmetic of `oracle_apply_illumination` must give
+    the same bytes on any spec and stack."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hnp.arrays(np.uint8, st.tuples(
+            st.integers(1, 4), st.integers(1, 12), st.integers(1, 12), st.just(3))),
+        st.tuples(*[st.floats(0.2, 2.0)] * 3),
+        st.floats(0.5, 2.0),
+        st.sampled_from([0.0, 4.0]),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(EVERY_VALUE, (0.2, 1.37, 2.0), 0.5, 0.0, 1)
+    @example(EVERY_VALUE, (2.0, 0.2, 0.93), 2.0, 4.0, 2)
+    @example(EVERY_VALUE, (0.41, 1.0, 1.9), 1.0, 4.0, 3)
+    def test_matches_per_pixel_oracle(self, pixels, gain, gamma, noise_std, seed):
+        spec = IlluminationSpec(gain, gamma, noise_std)
+        seeds = [derive_stream_seed(seed, i) for i in range(len(pixels))]
+        lit = apply_illumination(pixels, spec, seeds)
+        assert lit.shape == pixels.shape and lit.dtype == np.uint8
+        for img, noise_seed, out in zip(pixels, seeds, lit):
+            expected = oracle_apply_illumination(Image(img), spec, noise_seed)
+            assert out.tobytes() == expected.pixels.tobytes()
 
 
 PRESET_NAMES = sorted(ILLUMINANT_PRESETS)
