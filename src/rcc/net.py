@@ -6,9 +6,9 @@ fully connected layers 512 -> 64 -> 32 -> 6 with ReLU between them and
 softmax cross-entropy on top.  Every pass runs in the dtype of its input
 batch, casting the layer weights to it.  Training and the test-split
 scoring of `harness.evaluate` and `harness.compare_robustness` send
-float32 batches, which about halve each conv layer's time; detection
-sends float64 ones, so the confidence it reports carries no float32
-rounding, and so does the finite-difference gradient check, which needs
+float32 batches, which about halve each conv layer's time.  Detection
+sends float64 batches, so the confidence it reports carries no float32
+rounding, and the finite-difference gradient check does too, for its
 tight tolerances.  The params, the SGD update and checkpoints stay
 float64; a float32 gradient widens exactly in `sgd_step`.
 

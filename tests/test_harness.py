@@ -468,7 +468,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.filterwarnings("error")
-    def test_model_beyond_float32_range_is_numeric_error(self, tiny_dataset, tmp_path, capsys, command):
+    def test_model_beyond_float32_range_is_numeric_error(
+        self, tiny_dataset, tmp_path, capsys, command
+    ):
         # eval and compare score in float32, so the weight casts to inf
         data, _ = tiny_dataset
         model = tmp_path / "model.ckpt"
