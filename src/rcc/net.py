@@ -74,6 +74,21 @@ def _frozen_f64(values, name: str) -> np.ndarray:
     return arr
 
 
+def _freeze_tensors(layer, ndim: int) -> np.ndarray:
+    """Freeze the layer's weight (its `weight_name`) and bias as float64 and
+    return the weight; ShapeError unless it is `ndim`-d, one bias per row."""
+    name = layer.weight_name
+    weight = _frozen_f64(getattr(layer, name), name)
+    bias = _frozen_f64(layer.bias, "bias")
+    if weight.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-d, got shape {weight.shape}")
+    if bias.shape != (weight.shape[0],):
+        raise ShapeError(f"bias shape {bias.shape} does not match {weight.shape[0]} outputs")
+    object.__setattr__(layer, name, weight)
+    object.__setattr__(layer, "bias", bias)
+    return weight
+
+
 @dataclass(frozen=True)
 class ConvLayerParams:
     """Cross-correlation filters (out_ch, in_ch, M, N) with bias, stride 1."""
@@ -85,20 +100,11 @@ class ConvLayerParams:
     weight_name = "filters"
 
     def __post_init__(self):
-        filters = _frozen_f64(self.filters, "filters")
-        bias = _frozen_f64(self.bias, "bias")
-        if filters.ndim != 4:
-            raise ShapeError(f"filters must be 4-d, got shape {filters.shape}")
+        filters = _freeze_tensors(self, 4)
         if min(filters.shape) < 1:
             raise ShapeError(f"filter dims must be positive, got {filters.shape}")
-        if bias.shape != (filters.shape[0],):
-            raise ShapeError(
-                f"bias shape {bias.shape} does not match {filters.shape[0]} filters"
-            )
         if self.padding < 0:
             raise ValueError(f"padding must be non-negative, got {self.padding}")
-        object.__setattr__(self, "filters", filters)
-        object.__setattr__(self, "bias", bias)
 
 
 @dataclass(frozen=True)
@@ -111,16 +117,7 @@ class FcLayerParams:
     weight_name = "weights"
 
     def __post_init__(self):
-        weights = _frozen_f64(self.weights, "weights")
-        bias = _frozen_f64(self.bias, "bias")
-        if weights.ndim != 2:
-            raise ShapeError(f"weights must be 2-d, got shape {weights.shape}")
-        if bias.shape != (weights.shape[0],):
-            raise ShapeError(
-                f"bias shape {bias.shape} does not match {weights.shape[0]} outputs"
-            )
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", bias)
+        _freeze_tensors(self, 2)
 
 
 @dataclass(frozen=True)
@@ -563,56 +560,53 @@ def save_checkpoint(params: NetworkParams) -> bytes:
     return bytes(out)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise CheckpointTruncatedError(
-                f"needed {count} bytes at offset {self.pos}, "
-                f"stream has {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
-
-
 def load_checkpoint(data: bytes) -> NetworkParams:
     """Parse checkpoint bytes back into NetworkParams, bit-exactly; raises
-    CheckpointError unless every layer header is its LAYER_TABLE row's."""
-    reader = _Reader(data)
-    magic = reader.take(len(CHECKPOINT_MAGIC))
+    CheckpointError unless every layer header is its LAYER_TABLE row's,
+    and NumericError if a tensor overflows float32, in which eval and
+    compare score, so that no command scores a checkpoint another rejects."""
+    pos = 0
+
+    def take(count: int) -> bytes:
+        nonlocal pos
+        if pos + count > len(data):
+            raise CheckpointTruncatedError(
+                f"needed {count} bytes at offset {pos}, stream has {len(data) - pos}"
+            )
+        pos += count
+        return data[pos - count : pos]
+
+    magic = take(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointMagicError(f"bad magic {magic!r}")
-    version = reader.u32()
+    (version,) = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"unsupported version {version}")
-    count = reader.u32()
+    (count,) = struct.unpack("<I", take(4))
     if count != len(LAYER_TABLE):
         raise CheckpointError(f"checkpoint has {count} layers, not {len(LAYER_TABLE)}")
     layers: list[Layer] = []
     for name, kind, shape in LAYER_TABLE:
         header = _layer_header(kind, shape)
-        if reader.take(len(header)) != header:
+        if take(len(header)) != header:
             raise CheckpointError(
                 f"{name} kind or dimensions differ from the fixed architecture's {shape}"
             )
-        weight = reader.floats(math.prod(shape)).reshape(shape)
+        weight = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         try:
-            layers.append(kind(weight, reader.floats(shape[0])))
+            layers.append(kind(weight, np.frombuffer(take(8 * shape[0]), dtype="<f8")))
         except ValueError as exc:
             raise CheckpointError(f"{name}: {exc}") from exc
-    if reader.pos != len(data):
-        raise CheckpointError(f"{len(data) - reader.pos} trailing bytes")
-    return NetworkParams(*layers)
+    if pos != len(data):
+        raise CheckpointError(f"{len(data) - pos} trailing bytes")
+    params = NetworkParams(*layers)
+    with np.errstate(over="ignore"):
+        for name, tensor in params.tensors():
+            if not np.isfinite(tensor.astype(np.float32)).all():
+                raise NumericError(
+                    f"{name} overflows float32, so a forward pass would make non-finite logits"
+                )
+    return params
 
 
 # ---------------------------------------------------------------------------

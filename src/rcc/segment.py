@@ -10,7 +10,9 @@ Every stage gives the bytes of its float64 or integer definition.  The
 blur sums in float32 first, whose error is at most
 255 * (2 * taps + 2) * 2**-24 (3.65e-4 for sigma 1.4), and redoes in
 float64 only the pixels that lie within twice that of a rounding tie.
-The threshold's box sums run in int16 when they cannot overflow it.
+The gray conversion and the blur run in row bands of image.BAND_ROWS,
+whose buffers stay in cache.  The threshold's box sums are one
+whole-image pass, in int16 when they cannot overflow it: bands were slower.
 """
 
 from __future__ import annotations
@@ -191,10 +193,11 @@ def adaptive_threshold(img: GrayImage, window: int, c: float) -> BinaryMask:
     borders), the test p < s / area - c runs in integers as
     area * (p + c) < s.  For an integral c the two agree even in float64:
     s / area is an integer or at least 1 / area away from one, far beyond
-    the rounding of s / area - c.  The sums are separable box sums, run
-    over bands of BAND_ROWS rows.  Every value lies within
-    area * (255 + |c|) of 0, so they run in int16 when that is below 2**15
-    (31,097 for window 11 and c 2), and in int32 otherwise.
+    the rounding of s / area - c.  The sums are separable box sums in one
+    whole-image pass over the pixels cast once to the sum dtype (row bands
+    cast each row again on each add, and were slower).  Every value lies
+    within area * (255 + |c|) of 0, so they run in int16 when that is
+    below 2**15 (31,097 for window 11 and c 2), and in int32 otherwise.
     """
     if window < 3 or window % 2 == 0 or window > 2051:
         raise ValueError(f"window must be odd and in [3, 2051], got {window}")
@@ -205,26 +208,16 @@ def adaptive_threshold(img: GrayImage, window: int, c: float) -> BinaryMask:
     dtype = np.int16 if area * (255 + abs(int(c))) < 2**15 else np.int32
     radius = window // 2
     h, w = img.height, img.width
-    padded = np.pad(img.pixels, radius, mode="edge")
-    bits = np.empty((h, w), dtype=bool)
-    band = min(BAND_ROWS, h)
-    column_sums = np.empty((band, w + 2 * radius), dtype=dtype)
-    window_sums = np.empty((band, w), dtype=dtype)
-    scaled = np.empty((band, w), dtype=dtype)
-    for top in range(0, h, BAND_ROWS):
-        n = min(BAND_ROWS, h - top)
-        cols, sums, lhs = column_sums[:n], window_sums[:n], scaled[:n]
-        cols[...] = padded[top : top + n]
-        for k in range(1, window):
-            cols += padded[top + k : top + k + n]
-        sums[...] = cols[:, :w]
-        for k in range(1, window):
-            sums += cols[:, k : k + w]
-        lhs[...] = img.pixels[top : top + n]
-        lhs += int(c)
-        lhs *= area
-        np.less(lhs, sums, out=bits[top : top + n])
-    return BinaryMask(bits)
+    padded = np.pad(img.pixels.astype(dtype), radius, mode="edge")
+    column_sums = padded[:h].copy()
+    for k in range(1, window):
+        column_sums += padded[k : k + h]
+    sums = column_sums[:, :w].copy()
+    for k in range(1, window):
+        sums += column_sums[:, k : k + w]
+    scaled = padded[radius : radius + h, radius : radius + w] + int(c)
+    scaled *= area
+    return BinaryMask(scaled < sums)
 
 
 def sobel_magnitude(img: GrayImage) -> GrayImage:

@@ -466,22 +466,25 @@ class TestCli:
         assert cli.main([command, "--model", str(model)] + args) == 4
         assert "non-finite logits" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("command", ["detect", "eval", "compare"])
     @pytest.mark.filterwarnings("error")
     def test_model_beyond_float32_range_is_numeric_error(
         self, tiny_dataset, tmp_path, capsys, command
     ):
-        # eval and compare score in float32, so the weight casts to inf
+        # eval and compare score in float32, so the weight casts to inf;
+        # the load rejects it, so detect, which scores in float64, does too
         data, _ = tiny_dataset
         model = tmp_path / "model.ckpt"
         ranges = tmp_path / "ranges.csv"
         _beyond_float32_model(model)
         ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
         args = {
-            "eval": ["--report", str(tmp_path / "report.json")],
-            "compare": ["--ranges", str(ranges), "--out", str(tmp_path / "sweep.csv")],
+            "detect": ["--image", str(data / "scene_00.ppm")],
+            "eval": ["--data", str(data), "--report", str(tmp_path / "report.json")],
+            "compare": ["--data", str(data), "--ranges", str(ranges),
+                        "--out", str(tmp_path / "sweep.csv")],
         }[command]
-        assert cli.main([command, "--data", str(data), "--model", str(model)] + args) == 4
+        assert cli.main([command, "--model", str(model)] + args) == 4
         assert "non-finite logits" in capsys.readouterr().err
 
     def test_every_test_split_score_agrees(self, tmp_path, capsys):

@@ -170,6 +170,17 @@ class TestContainers:
         with pytest.raises(ValueError):
             GrayImage(np.array([[300.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 12.5])
+    @pytest.mark.filterwarnings("error")
+    def test_non_integer_channel_values_rejected(self, value):
+        with pytest.raises(ValueError, match="integers in"):
+            GrayImage(np.array([[value]]))
+        with pytest.raises(ValueError, match="integers in"):
+            Image(np.full((2, 2, 3), value))
+
+    def test_integral_float_channel_values_accepted(self):
+        assert GrayImage(np.array([[12.0]])).pixels.tolist() == [[12]]
+
 
 class TestGray:
     def test_primary_colors(self):

@@ -624,15 +624,36 @@ class TestCheckpoint:
         blob[4] = 9
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(bytes(blob))
+        # the version is checked before the layer count is read
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(bytes(blob[:8]))
 
     def test_truncated_stream(self):
         blob = save_checkpoint(init_params(0))
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(blob[: len(blob) // 2])
 
+    def test_every_prefix_at_a_header_or_tensor_boundary_is_truncated(self):
+        # prefixes ending inside the 12-byte file header or a layer header,
+        # and one byte either side of each tensor's end
+        blob = save_checkpoint(init_params(0))
+        cuts = set(range(12))
+        pos = 12
+        for _, kind, shape in net.LAYER_TABLE:
+            header = 21 if kind is ConvLayerParams else 9
+            cuts.update(range(pos, pos + header))
+            pos += header
+            for size in (math.prod(shape), shape[0]):
+                pos += 8 * size
+                cuts.update((pos - 1, pos + 1))
+        assert pos == len(blob)
+        for cut in sorted(cuts - {len(blob) + 1}):
+            with pytest.raises(CheckpointTruncatedError):
+                load_checkpoint(blob[:cut])
+
     def test_trailing_garbage(self):
         blob = save_checkpoint(init_params(0))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
             load_checkpoint(blob + b"\x00")
 
     def test_unknown_layer_kind(self):

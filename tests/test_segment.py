@@ -382,6 +382,13 @@ class TestAdaptiveThreshold:
         with pytest.raises(ValueError, match="window"):
             adaptive_threshold(img, 2053, 2.0)
 
+    def test_largest_window_matches_oracle(self):
+        # window 2051 is the largest accepted; its sums run in int32
+        img = random_gray(Xoshiro256StarStar(102), 5, 7)
+        for c in (-255.0, 2.0, 255.0):
+            want = oracle_adaptive_threshold(img, 2051, c).bits
+            assert np.array_equal(adaptive_threshold(img, 2051, c).bits, want)
+
     @pytest.mark.parametrize("window", range(3, 16, 2))
     def test_integer_compare_equals_float_compare_exhaustively(self, window):
         """n * (p + c) < s gives the float test p < s / n - c for every
