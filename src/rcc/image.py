@@ -172,7 +172,9 @@ def read_ppm(data: bytes) -> Image:
 
 # Rows per band of gray here and the blur in segment: each band's buffers
 # stay in L2 instead of streaming whole-image temporaries through memory
-# once per tap.  The threshold runs in one pass, which was faster there.
+# once per tap.  The blur's float32 products also take a band's columns in
+# tiles of BAND_ROWS, so its one band matrix serves both passes.  The
+# threshold runs in one pass, which was faster there.
 BAND_ROWS = 64
 
 

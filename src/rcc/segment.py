@@ -7,12 +7,13 @@ with Sobel magnitude, a fixed edge threshold, and one binary dilation pass
 to close small gaps before labelling.
 
 Every stage gives the bytes of its float64 or integer definition.  The
-blur sums in float32 first, whose error is at most
-255 * (2 * taps + 2) * 2**-24 (3.65e-4 for sigma 1.4), and redoes in
-float64 only the pixels that lie within twice that of a rounding tie.
-The gray conversion and the blur run in row bands of image.BAND_ROWS,
-whose buffers stay in cache.  The threshold's box sums are one
-whole-image pass, in int16 when they cannot overflow it: bands were slower.
+blur sums in float32 first, as BLAS products with band matrices of the
+taps, whose error is at most 255 * (2 * taps + 2) * 2**-24 (3.65e-4 for
+sigma 1.4) in any summation order, and redoes in float64 only the pixels
+that lie within twice that of a rounding tie.  The gray conversion and
+the blur run in row bands of image.BAND_ROWS, whose buffers stay in
+cache.  The threshold's box sums are one whole-image pass, in int16 when
+they cannot overflow it: bands were slower.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ SOBEL_THRESHOLD = 80
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized 1-d Gaussian taps of length 2*ceil(3*sigma)+1."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     radius = math.ceil(3.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     weights = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
@@ -99,11 +100,37 @@ def _float32_error_bound(taps: int) -> float:
     return 255 * (2 * taps + 2) * 2.0**-24
 
 
+def _band_matrix(taps: np.ndarray, n: int) -> np.ndarray:
+    """The (n + 2r, n) band (Toeplitz) matrix whose column c holds the taps
+    in rows c to c + 2r and exact zeros elsewhere: n + 2r values times it
+    are their pass over n outputs.  Its top-left (t + 2r, t) block is the
+    matrix for t outputs."""
+    zeros = np.zeros(n - 1, dtype=taps.dtype)
+    line = np.concatenate((zeros, taps, zeros))
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(line, n)[:, ::-1])
+
+
+def _float32_sums(rows, across, horizontal, out):
+    """Write into `out` (n, w) the vertical pass of the horizontal pass of
+    the float32 `rows` (n + 2r, w + 2r), as BLAS products with `across`,
+    the band matrix of B >= n outputs: the horizontal pass into
+    `horizontal` (n + 2r, w) in tiles of B columns, then the vertical pass
+    as one product with the transpose."""
+    n, w = out.shape
+    tile = across.shape[1]
+    reach = across.shape[0] - tile
+    for left in range(0, w, tile):
+        t = min(tile, w - left)
+        np.matmul(rows[:, left : left + t + reach], across[: t + reach, :t],
+                  out=horizontal[:, left : left + t])
+    return np.matmul(across[: n + reach, :n].T, horizontal, out=out)
+
+
 # A band whose unsure pixels are more than this share of it is blurred
 # again whole in float64: past it, the float32 pass and the redo of each
 # unsure pixel would cost more than the float64 pass alone.  A 64x640
-# noise band took 0.93 ms in float64 and 0.73 ms in float32 with its 60
-# unsure pixels redone; redoing 1280 pixels took 0.36 ms.
+# noise band took 1.0 ms in float64 and 0.55 ms through the float32 pass
+# with its 61 unsure pixels redone; redoing 1280 pixels took 0.32-0.47 ms.
 REDO_BAND_SHARE = 1 / 32
 
 
@@ -117,13 +144,20 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     plus the radius in halo rows above and below, since the padded rows
     of the horizontal pass are the horizontal pass of padded rows.
 
-    Each band runs both passes in float32 first.  With n taps and
-    u = 2**-24, a float32 output sums nonnegative terms pixel * tap * tap,
-    each carrying at most 2n + 2 roundings: the two taps cast to float32,
-    the two products and the n - 1 adds of each pass.  The float64 taps
-    sum to 1, so |V32 - V64| <= 255 * (2n + 2) * u to first order
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4), which
-    is 3.65e-4 for the 11 taps of sigma 1.4.  Twice that, the slack, also
+    Each band runs both passes in float32 first, as BLAS matrix products
+    (_float32_sums): BAND_ROWS + 2r values of a row or column times a band
+    matrix of the float32 taps give their BAND_ROWS outputs.  Every entry
+    of a band matrix off the taps is an exact zero, and 0 * x and s + 0
+    are exact, so whatever order, blocking or thread count the BLAS kernel
+    adds in, each output is still the sum of the same n nonzero products.
+    With n taps and u = 2**-24, a float32 output sums nonnegative terms
+    pixel * tap * tap, each carrying at most 2n + 2 roundings in any order
+    of summation: the two taps cast to float32, the two products and at
+    most n - 1 adds of each pass; a fused multiply-add only removes
+    roundings.  The float64 taps sum to 1, so |V32 - V64| <=
+    255 * (2n + 2) * u to first order (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4), which is 3.65e-4 for the 11 taps of
+    sigma 1.4.  Twice that, the slack, also
     covers the higher-order terms, the float32 adds of 0.5 -+ slack and
     the float64 sum's own error.  A pixel whose V32 + 0.5 lies farther
     than the slack from an integer, so that V32 + 0.5 - slack and
@@ -137,8 +171,8 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     blur does.
     """
     kernel = gaussian_kernel(sigma)
-    taps = kernel.astype(np.float32)
     size = len(kernel)
+    across = _band_matrix(kernel.astype(np.float32), BAND_ROWS)
     slack = 2 * _float32_error_bound(size)
     radius = size // 2
     h, w = img.height, img.width
@@ -147,7 +181,6 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     band = min(BAND_ROWS, h)
     rows32 = np.empty((band + 2 * radius, w + 2 * radius), dtype=np.float32)
     horizontal = np.empty((band + 2 * radius, w), dtype=np.float32)
-    term = np.empty_like(horizontal)
     vertical = np.empty((band, w), dtype=np.float32)
     high = np.empty((band, w), dtype=np.uint8)
     unsure = np.empty((band, w), dtype=bool)
@@ -159,10 +192,10 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
         rows = padded[top : top + halo]
         if not exact:
             np.copyto(rows32[:halo], rows)
-            v = _separable_sums(rows32[:halo], taps, horizontal[:halo], term[:halo], vertical[:n])
+            v = _float32_sums(rows32[:halo], across, horizontal[:halo], vertical[:n])
             # V + 0.5 -+ slack truncate as they floor, for both are positive
             low = blurred[top : top + n]
-            np.copyto(high[:n], np.add(v, 0.5 + slack, out=term[:n]), casting="unsafe")
+            np.copyto(high[:n], np.add(v, 0.5 + slack, out=horizontal[:n]), casting="unsafe")
             np.copyto(low, np.add(v, 0.5 - slack, out=v), casting="unsafe")
             flat = np.flatnonzero(np.not_equal(low, high[:n], out=unsure[:n]))
             if len(flat) <= REDO_BAND_SHARE * n * w:

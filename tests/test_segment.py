@@ -239,10 +239,29 @@ class TestFrontEndOracles:
             assert np.array_equal(sobel_magnitude(blurred).pixels,
                                   oracle_sobel_magnitude(blurred).pixels)
 
+    @pytest.mark.parametrize("sigma", (0.8, BLUR_SIGMA, 2.3))
+    def test_blur_matches_oracle_across_tile_and_band_edges(self, sigma):
+        # the float32 pass runs in tiles of BAND_ROWS columns and bands of
+        # BAND_ROWS rows; these sizes end a tile or band one short of, at or
+        # one past its edge
+        rng = np.random.default_rng(25)
+        for h in (BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 3):
+            for w in (BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS - 1,
+                      2 * BAND_ROWS + 1):
+                images = [rng.integers(0, 256, (h, w), dtype=np.uint8),
+                          rng.choice(np.array([0, 255], dtype=np.uint8), (h, w))]
+                images += [stripes((h, w), p).astype(np.uint8)
+                           for p in ("columns", "rows", "checkerboard")]
+                for px in images:
+                    img = GrayImage(px)
+                    assert np.array_equal(gaussian_blur(img, sigma).pixels,
+                                          oracle_gaussian_blur(img, sigma).pixels), (h, w)
 
-# numpy's dispatch targets with AVX-512 loops; none of numpy's loops fuses a
-# multiply into an add, so the float32 pass and the int16 sums give the
-# same bytes without them
+
+# numpy's dispatch targets with AVX-512 loops.  The int16 sums are exact on
+# any path.  The blur's float32 pass runs in BLAS, whose kernels may fuse a
+# multiply into an add and sum in any order; its bound holds regardless
+# (gaussian_blur's docstring), so the bytes do too.
 AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 _OFF_AVX512_SCRIPT = """
 import sys
@@ -254,22 +273,43 @@ except ImportError:  # numpy 1.x
 assert not any(features[f] for f in sys.argv[1].split()), "AVX-512 loops still enabled"
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
 """
+GOLDEN_FRONT_END = ("tests/test_golden.py::test_front_end_arrays_match_golden",
+                    "tests/test_golden.py::test_detect_boxes_match_golden")
+
+
+def run_golden_front_end(args, env):
+    """Run the front end's golden tests in a subprocess of `python args...`
+    under the environment `env` added to this one."""
+    done = subprocess.run(
+        [sys.executable, *args, *GOLDEN_FRONT_END],
+        cwd=Path(__file__).resolve().parents[1],
+        env=dict(os.environ, **env),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "4 passed" in done.stdout
 
 
 @pytest.mark.skipif(not all(CPU_FEATURES.get(f) for f in AVX512_TARGETS),
                     reason="CPU lacks AVX-512")
 def test_front_end_golden_bytes_off_avx512():
     targets = " ".join(AVX512_TARGETS)
-    done = subprocess.run(
-        [sys.executable, "-c", _OFF_AVX512_SCRIPT, targets,
-         "tests/test_golden.py::test_front_end_arrays_match_golden",
-         "tests/test_golden.py::test_detect_boxes_match_golden"],
-        cwd=Path(__file__).resolve().parents[1],
-        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=targets),
-        capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "4 passed" in done.stdout
+    run_golden_front_end(["-c", _OFF_AVX512_SCRIPT, targets],
+                         {"NPY_DISABLE_CPU_FEATURES": targets})
+
+
+# Each OpenBLAS core type below has its own sgemm kernel, whose float32
+# bytes differ from the AVX-512 kernel's, and two threads split the blur's
+# products between them; a BLAS other than OpenBLAS ignores these variables.
+@pytest.mark.parametrize("env", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, id="haswell", marks=pytest.mark.skipif(
+        not CPU_FEATURES.get("AVX2"), reason="CPU lacks AVX2")),
+    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="prescott", marks=pytest.mark.skipif(
+        not CPU_FEATURES.get("SSE3"), reason="CPU lacks SSE3")),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2"}, id="two-threads"),
+])
+def test_front_end_golden_bytes_under_other_blas_kernels(env):
+    run_golden_front_end(["-m", "pytest", "-q", "-p", "no:cacheprovider"], env)
 
 
 def flood_fill_boxes(bits: np.ndarray) -> list[tuple[int, BoundRect]]:
@@ -312,8 +352,9 @@ class TestGaussian:
             assert np.array_equal(k, k[::-1])
 
     def test_kernel_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_kernel(0.0)
+        for sigma in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="sigma must be finite and positive"):
+                gaussian_kernel(sigma)
 
     def test_blur_preserves_constant_image(self):
         img = GrayImage(np.full((10, 12), 137, dtype=np.uint8))
@@ -321,24 +362,34 @@ class TestGaussian:
 
     @pytest.mark.parametrize("sigma", (0.8, BLUR_SIGMA, 2.3))
     def test_float32_pass_within_its_bound_on_scenes(self, sigma):
-        """The largest |V32 - V64| over rendered scenes stays below the
-        first-order bound of gaussian_blur's docstring; the pass decides a
-        pixel only when it is twice that from a half level."""
+        """The largest |V32 - V64| of the blur's float32 pass over rendered
+        scenes, uniform noise and 0/255 pixels stays below the first-order
+        bound of gaussian_blur's docstring; the pass decides a pixel only
+        when it is twice that from a half level."""
         taps = gaussian_kernel(sigma)
         bound = segment._float32_error_bound(len(taps))
         radius = len(taps) // 2
-        worst = 0.0
+        across = segment._band_matrix(taps.astype(np.float32), BAND_ROWS)
+        grays = []
         for i, (color, name) in enumerate(zip(COLOR_CLASSES * 5, sorted(ILLUMINANT_PRESETS) * 6)):
             rect = BoundRect(5 + i, 4 + i % 20, 40 + i, 30 + i % 20)
             scene, _ = render_scene(color, rect, 128, 96, ILLUMINANT_PRESETS[name], seed=i,
                                     jitter=i % 3)
-            gray = rgb_to_gray(scene)
-            padded = np.pad(gray.pixels, radius, mode="edge").astype(np.float32)
-            h, w = gray.pixels.shape
-            acc = np.empty((h + 2 * radius, w), dtype=np.float32)
-            v32 = segment._separable_sums(padded, taps.astype(np.float32), acc,
-                                          np.empty_like(acc), np.empty((h, w), np.float32))
-            worst = max(worst, np.abs(v32 - oracle_blur_values(gray, sigma)).max())
+            grays.append(rgb_to_gray(scene).pixels)
+        rng = np.random.default_rng(9)
+        grays.append(rng.integers(0, 256, (2 * BAND_ROWS + 3, 2 * BAND_ROWS + 1), dtype=np.uint8))
+        grays.append(rng.choice(np.array([0, 255], dtype=np.uint8), (2 * BAND_ROWS + 3, 97)))
+        worst = 0.0
+        for gray in grays:
+            padded = np.pad(gray, radius, mode="edge").astype(np.float32)
+            h, w = gray.shape
+            horizontal = np.empty((BAND_ROWS + 2 * radius, w), dtype=np.float32)
+            v32 = np.empty((h, w), dtype=np.float32)
+            for top in range(0, h, BAND_ROWS):
+                n = min(BAND_ROWS, h - top)
+                segment._float32_sums(padded[top : top + n + 2 * radius], across,
+                                      horizontal[: n + 2 * radius], v32[top : top + n])
+            worst = max(worst, np.abs(v32 - oracle_blur_values(GrayImage(gray), sigma)).max())
         assert 0 < worst < bound
 
     def test_blur_matches_direct_convolution(self):
