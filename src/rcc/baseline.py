@@ -65,13 +65,25 @@ class HsvRange:
         return (s >= self.s_min) & (v >= self.v_min) & in_window
 
 
+def channel_means(patches: np.ndarray) -> np.ndarray:
+    """(n, 3) float64 channel means of an (n, h, w, 3) uint8 patch stack.
+
+    Each is its channel's int64 sum over one contiguous (n, 3, h*w) copy,
+    divided by h*w: the bytes of ``patches.mean(axis=(1, 2),
+    dtype=np.float64)``, whose float64 sum of uint8 values is exact too, at
+    a fraction of the strided reduction's cost.
+    """
+    n, h, w, channels = patches.shape
+    planes = np.ascontiguousarray(patches.reshape(n, h * w, channels).transpose(0, 2, 1))
+    return planes.sum(axis=2, dtype=np.int64) / (h * w)
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # hues where delta is 0 are reset
 def mean_hsv(patches: np.ndarray) -> np.ndarray:
-    """(n, 3) array of (h degrees, s, v) of each patch's channel-mean pixel,
-    by the hexcone; h lies in [0, 360) and is 0 wherever s is 0."""
-    # a float64 sum of uint8 values is exact, so each mean is the rounded
-    # quotient of its exact sum
-    rgb = patches.mean(axis=(1, 2), dtype=np.float64) / 255.0
+    """(n, 3) array of (h degrees, s, v) of each (n, h, w, 3) uint8 patch's
+    channel-mean pixel, by the hexcone; h lies in [0, 360) and is 0 wherever
+    s is 0."""
+    rgb = channel_means(patches) / 255.0
     r, g, b = rgb.T
     v = rgb.max(axis=1)
     delta = v - rgb.min(axis=1)

@@ -16,7 +16,10 @@ Algorithm constants:
   splitmix64 applied to the seed (gamma 0x9E3779B97F4A7C15, mix constants
   0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).
 * Doubles: ``(x >> 11) * 2**-53`` giving uniforms in [0, 1).
-* Normals: Box-Muller on uniform pairs, cosine branch first.
+* Normals: Box-Muller on uniform pairs, cosine branch first.  The radius
+  and angle (`box_muller_polar`) are apart from the trigonometry, so
+  `synth` can take a float32 estimate of the same noise and redo its
+  near-ties with `box_muller`.
 
 Bulk draws run many streams at once as numpy lanes in lockstep: one fill
 takes n start states and a count and returns n rows of `count` draws plus
@@ -240,15 +243,25 @@ def doubles_from(raw: np.ndarray) -> np.ndarray:
     return u
 
 
+def box_muller_polar(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Box-Muller radius sqrt(-2 ln u1) and angle 2*pi*u2 of each
+    uniform pair (u1, u2) along the last axis of `u`, as float64 arrays.
+
+    u1 is floored at 2**-53, so the radius is at most sqrt(106 ln 2) =
+    8.57, and the angle lies in [0, 2*pi).
+    """
+    u1 = np.maximum(u[..., 0::2], _DOUBLE_SCALE)  # avoid log(0)
+    return np.sqrt(-2.0 * np.log(u1)), 2.0 * math.pi * u[..., 1::2]
+
+
 def box_muller(u: np.ndarray) -> np.ndarray:
     """Standard-normal float64 samples from uniforms in [0, 1), one each.
 
     The last axis holds uniform pairs, so its length must be even; each
-    pair gives its cosine-branch sample, then its sine-branch one.
+    pair gives its cosine-branch sample radius * cos(angle), then its
+    sine-branch one radius * sin(angle) (`box_muller_polar`).
     """
-    u1 = np.maximum(u[..., 0::2], _DOUBLE_SCALE)  # avoid log(0)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u[..., 1::2]
+    radius, angle = box_muller_polar(u)
     z = np.empty(u.shape)
     z[..., 0::2] = radius * np.cos(angle)
     z[..., 1::2] = radius * np.sin(angle)

@@ -14,7 +14,10 @@ BLOCK_VALUES channel values, so no count of files draws a larger array
 than that; the tail and the lighting's noise work in chunks of
 CHUNK_VALUES values, so only the painted canvas is a whole-stack float
 array. Lighting looks each channel value up in a table of the 256 values'
-noise-free light, computed once per call.
+noise-free light, computed once per call. Its Box-Muller noise takes its
+cosines and sines in float32, which cost a small fraction of float64 ones,
+to decide each value's rounding: a value within NOISE_SLACK of a rounding
+edge redoes its noise in float64, so every byte is float64 Box-Muller's.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .net import CLASS_NAMES, INPUT_SIZE
 from .rng import (
     Xoshiro256StarStar,
     box_muller,
+    box_muller_polar,
     derive_stream_seed,
     doubles_from,
     fill_streams,
@@ -71,6 +75,7 @@ PATCH_SIZE = INPUT_SIZE
 DEFAULT_JITTER = 5
 BLOCK_VALUES = 1 << 20  # channel values per render call; bounds generate_dataset's memory
 CHUNK_VALUES = 3 << 14  # channel values per float array of a render: whole pixels and pairs
+NOISE_SLACK = 2.0**-10  # lighting values this near a rounding edge redo their noise in float64
 SCENE_CANVAS = (128, 96)  # (width, height)
 BACKGROUND_LEVEL = 245
 
@@ -128,8 +133,9 @@ def apply_illumination(
     of all 256 values of each channel is computed once, as a (256, 3) table,
     and gathered per channel. Image i's noise is Gaussian with the spec's
     std, drawn row-major from a stream seeded with noise_seeds[i], and added
-    to the gathered values a chunk of at most CHUNK_VALUES values at a time;
-    std 0 draws nothing.
+    to the gathered values a chunk of at most CHUNK_VALUES values at a time
+    (`_add_noise`, which takes its cosines and sines in float32 and redoes
+    in float64 the values they could round otherwise); std 0 draws nothing.
     """
     if len(noise_seeds) != len(pixels):
         raise ValueError(f"{len(noise_seeds)} noise seeds for {len(pixels)} images")
@@ -147,10 +153,51 @@ def apply_illumination(
     raw = fill_streams(noise_seeds, 3 * count + count % 2)
     for chunk, draws in _chunks(n, count):
         lit = _gather(light, images[chunk])
-        noise = box_muller(doubles_from(raw[draws]))[:, : 3 * lit.shape[1]]
-        lit += noise.reshape(lit.shape) * spec.noise_std
-        out[chunk] = to_uint8(lit)
+        noisy = _add_noise(lit.reshape(len(lit), -1), doubles_from(raw[draws]), spec.noise_std)
+        out[chunk] = noisy.reshape(lit.shape)
     return out.reshape(pixels.shape)
+
+
+def _add_noise(lit: np.ndarray, u: np.ndarray, std: float) -> np.ndarray:
+    """to_uint8(v), v = lit + z * std, for the (rows, k) float64 light `lit`
+    and z = box_muller(u)[:, :k] from its (rows, k or k + 1) uniforms `u`.
+
+    The cosines and sines run in float32 on the angles cast to float32, and
+    are widened and scaled by the float64 radii into z'; v' = lit + z' * std
+    is then formed as v is.  An angle lies in [0, 2*pi), so its cast is off
+    by at most 2*pi*2**-24 = 3.7e-7, and numpy's float32 cos and sin lie
+    within 4 ulp of 1, 2.4e-7, of the cast angle's; both have slope at most
+    1, so z' and z differ by at most 6.1e-7 times the radius.  The radius is
+    at most 8.57 (`box_muller_polar`) and IlluminationSpec caps the std at
+    25, so |v' - v| <= 1.31e-4 levels to first order, plus float64 roundings
+    of about 256 * 2**-53 each.  NOISE_SLACK, 2**-10 = 9.8e-4, is 7.4 times
+    that bound; numpy's float32 cos and sin measure within 2.6e-7 of the
+    float64 ones over 2**22 angles, with AVX-512 loops or without.  A value
+    whose v' + 0.5 -+ NOISE_SLACK floor alike rounds as v does, clamp
+    included.  The others, about 0.2% of values, are unsure: each redoes
+    its z with `box_muller` on its own uniform pair, then v and `to_uint8`
+    as above, so every byte is float64 Box-Muller's.
+    """
+    radius, angle = box_muller_polar(u)
+    angle32 = angle.astype(np.float32)
+    z = np.empty(u.shape)
+    np.multiply(radius, np.cos(angle32), out=z[:, 0::2])
+    np.multiply(radius, np.sin(angle32), out=z[:, 1::2])
+    v = z[:, : lit.shape[1]]
+    v *= std
+    v += lit
+    # below NOISE_SLACK - 0.5 both floors give 0, above 255 both give 255;
+    # v + 0.5 -+ slack then lie in [0, 256), where the casts floor
+    np.clip(v, NOISE_SLACK - 0.5, 255.0, out=v)
+    out = np.add(v, 0.5 - NOISE_SLACK, out=np.empty(v.shape, np.uint8), casting="unsafe")
+    high = np.add(v, 0.5 + NOISE_SLACK, out=np.empty_like(out), casting="unsafe")
+    unsure = np.flatnonzero(np.not_equal(out, high, out=high.view(bool)))
+    if len(unsure):
+        ys, xs = np.divmod(unsure, lit.shape[1])
+        pairs = u.reshape(len(u), -1, 2)[ys, xs // 2]
+        exact = box_muller(pairs)[np.arange(len(xs)), xs % 2]
+        out[ys, xs] = to_uint8(lit[ys, xs] + exact * std)
+    return out
 
 
 def _gather(table: np.ndarray, images: np.ndarray) -> np.ndarray:

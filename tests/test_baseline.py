@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +13,7 @@ from rcc.baseline import (
     CalibrationError,
     HsvRange,
     calibrate_ranges,
+    channel_means,
     classify_hsv,
     count_hsv_hits,
     mean_hsv,
@@ -56,6 +57,14 @@ patch_stacks = hnp.arrays(
 
 
 class TestMeanHsv:
+    @given(hnp.arrays(np.uint8, st.tuples(st.integers(1, 6), st.integers(1, 40),
+                                          st.integers(1, 40), st.just(3)),
+                      elements=st.sampled_from([0, 1, 127, 128, 254, 255]) | st.integers(0, 255)))
+    @example(np.full((2, 33, 31, 3), 255, dtype=np.uint8))
+    def test_channel_means_are_the_float64_means(self, patches):
+        expected = patches.mean(axis=(1, 2), dtype=np.float64)
+        assert channel_means(patches).tobytes() == expected.tobytes()
+
     def test_primary_corners(self):
         hsv = mean_hsv(flat((255, 0, 0), (0, 255, 0), (0, 0, 255), (255, 255, 0)))
         assert hsv.tolist() == [

@@ -1,10 +1,6 @@
 """Localization pipeline tests against brute-force oracles."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +26,7 @@ from rcc.segment import (
     sobel_magnitude,
 )
 
-from oracles import round_half_away
-
-try:
-    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+from oracles import CPU_FEATURES, HAS_AVX512, round_half_away, run_tests, run_tests_off_avx512
 
 
 def random_gray(rng, h, w):
@@ -258,44 +249,17 @@ class TestFrontEndOracles:
                                           oracle_gaussian_blur(img, sigma).pixels), (h, w)
 
 
-# numpy's dispatch targets with AVX-512 loops.  The int16 sums are exact on
-# any path.  The blur's float32 pass runs in BLAS, whose kernels may fuse a
-# multiply into an add and sum in any order; its bound holds regardless
-# (gaussian_blur's docstring), so the bytes do too.
-AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-_OFF_AVX512_SCRIPT = """
-import sys
-import pytest
-try:
-    from numpy._core._multiarray_umath import __cpu_features__ as features
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__ as features
-assert not any(features[f] for f in sys.argv[1].split()), "AVX-512 loops still enabled"
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
-"""
+# The int16 sums are exact on any numpy path.  The blur's float32 pass runs
+# in BLAS, whose kernels may fuse a multiply into an add and sum in any
+# order; its bound holds regardless (gaussian_blur's docstring), so the
+# bytes do too.
 GOLDEN_FRONT_END = ("tests/test_golden.py::test_front_end_arrays_match_golden",
                     "tests/test_golden.py::test_detect_boxes_match_golden")
 
 
-def run_golden_front_end(args, env):
-    """Run the front end's golden tests in a subprocess of `python args...`
-    under the environment `env` added to this one."""
-    done = subprocess.run(
-        [sys.executable, *args, *GOLDEN_FRONT_END],
-        cwd=Path(__file__).resolve().parents[1],
-        env=dict(os.environ, **env),
-        capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "4 passed" in done.stdout
-
-
-@pytest.mark.skipif(not all(CPU_FEATURES.get(f) for f in AVX512_TARGETS),
-                    reason="CPU lacks AVX-512")
+@pytest.mark.skipif(not HAS_AVX512, reason="CPU lacks AVX-512")
 def test_front_end_golden_bytes_off_avx512():
-    targets = " ".join(AVX512_TARGETS)
-    run_golden_front_end(["-c", _OFF_AVX512_SCRIPT, targets],
-                         {"NPY_DISABLE_CPU_FEATURES": targets})
+    assert "4 passed" in run_tests_off_avx512(GOLDEN_FRONT_END)
 
 
 # Each OpenBLAS core type below has its own sgemm kernel, whose float32
@@ -309,7 +273,8 @@ def test_front_end_golden_bytes_off_avx512():
     pytest.param({"OPENBLAS_NUM_THREADS": "2"}, id="two-threads"),
 ])
 def test_front_end_golden_bytes_under_other_blas_kernels(env):
-    run_golden_front_end(["-m", "pytest", "-q", "-p", "no:cacheprovider"], env)
+    pytest_args = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    assert "4 passed" in run_tests(pytest_args, GOLDEN_FRONT_END, env)
 
 
 def flood_fill_boxes(bits: np.ndarray) -> list[tuple[int, BoundRect]]:

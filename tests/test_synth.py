@@ -1,5 +1,6 @@
 """Synthetic data generation: illumination model, balance, determinism."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,13 @@ from hypothesis.extra import numpy as hnp
 from rcc import synth
 from rcc.baseline import mean_hsv
 from rcc.image import Image, read_ppm, write_ppm
-from rcc.rng import Xoshiro256StarStar, derive_stream_seed
+from rcc.rng import (
+    Xoshiro256StarStar,
+    box_muller,
+    box_muller_polar,
+    derive_stream_seed,
+    doubles_from,
+)
 from rcc.synth import (
     BACKGROUND_LEVEL,
     BRIGHTNESS_MAX,
@@ -37,7 +44,7 @@ from rcc.synth import (
 )
 from rcc.segment import BoundRect
 
-from oracles import round_half_away, second_call_peak
+from oracles import HAS_AVX512, round_half_away, run_tests_off_avx512, second_call_peak
 
 
 def flat_image(rgb, w=4, h=4):
@@ -170,6 +177,9 @@ class TestIllumination:
 
 # every channel value in every channel, so the whole light table is read
 EVERY_VALUE = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(1, 16, 16, 3)
+# the Box-Muller radius at the u1 floor 2**-53, and IlluminationSpec's largest std
+RADIUS_MAX = math.sqrt(-2.0 * math.log(2.0**-53))
+STD_MAX = 25.0
 
 
 class TestTableLighting:
@@ -183,12 +193,13 @@ class TestTableLighting:
             st.integers(1, 4), st.integers(1, 12), st.integers(1, 12), st.just(3))),
         st.tuples(*[st.floats(0.2, 2.0)] * 3),
         st.floats(0.5, 2.0),
-        st.sampled_from([0.0, 4.0]),
+        st.sampled_from([0.0, 4.0, STD_MAX]),
         st.integers(0, 2**64 - 1),
     )
     @example(EVERY_VALUE, (0.2, 1.37, 2.0), 0.5, 0.0, 1)
     @example(EVERY_VALUE, (2.0, 0.2, 0.93), 2.0, 4.0, 2)
     @example(EVERY_VALUE, (0.41, 1.0, 1.9), 1.0, 4.0, 3)
+    @example(EVERY_VALUE, (1.3, 0.6, 1.0), 0.8, STD_MAX, 4)
     def test_matches_per_pixel_oracle(self, pixels, gain, gamma, noise_std, seed):
         spec = IlluminationSpec(gain, gamma, noise_std)
         seeds = [derive_stream_seed(seed, i) for i in range(len(pixels))]
@@ -197,6 +208,78 @@ class TestTableLighting:
         for img, noise_seed, out in zip(pixels, seeds, lit):
             expected = oracle_apply_illumination(Image(img), spec, noise_seed)
             assert out.tobytes() == expected.pixels.tobytes()
+
+    def test_float32_trig_keeps_inside_the_slack(self):
+        # The slack holds while the float32 cos and sin of an angle's float32
+        # cast lie within NOISE_SLACK / (RADIUS_MAX * STD_MAX) of the float64
+        # ones.  They must keep within an eighth of that, so that a numpy
+        # whose float32 loops drift fails here before it moves a byte.
+        budget = synth.NOISE_SLACK / (RADIUS_MAX * STD_MAX) / 8
+        quarter_turns = np.arange(5) * (math.pi / 2)
+        edges = np.concatenate([np.nextafter(quarter_turns, -np.inf)[1:], quarter_turns,
+                                np.nextafter(quarter_turns, np.inf)])
+        grids = [np.arange(start, start + 2**20) / 2**22 for start in range(0, 2**22, 2**20)]
+        for u2 in [*grids, np.array([1 - 2.0**-53])]:
+            _, angles = box_muller_polar(np.stack([np.full_like(u2, 0.5), u2], axis=-1))
+            for angle in (angles.ravel(), edges):
+                angle32 = angle.astype(np.float32)
+                for trig in (np.cos, np.sin):
+                    error = np.abs(trig(angle32).astype(np.float64) - trig(angle))
+                    assert error.max() <= budget, trig
+
+    def test_values_whose_float32_noise_rounds_apart_are_redone(self, monkeypatch):
+        # Every u1 is 0, floored to 2**-53: the largest radius.  Of 2**20
+        # angles, keep those whose float32 cosine or sine would round a
+        # level-128 value at the largest std otherwise than float64's does.
+        raw = np.zeros((2**20, 2), dtype=np.uint64)
+        raw[:, 1] = np.arange(2**20, dtype=np.uint64) << np.uint64(44)
+        u = doubles_from(raw)
+        radius, angle = box_muller_polar(u)
+        angle32 = angle.astype(np.float32)
+        estimate = radius * np.concatenate([np.cos(angle32), np.sin(angle32)], axis=-1)
+        level = 128.0
+        flips = np.floor(level + estimate * STD_MAX + 0.5) != np.floor(
+            level + box_muller(u) * STD_MAX + 0.5)
+        pairs = np.flatnonzero(flips.any(axis=1))
+        assert len(pairs) > 0
+        raw = raw[np.resize(pairs, -(-len(pairs) // 3) * 6)].reshape(1, -1)  # whole pixels
+        monkeypatch.setattr(synth, "fill_streams", lambda seeds, count: raw[:, :count])
+        pixels = np.full((1, raw.size // 3, 1, 3), int(level), dtype=np.uint8)
+        spec = IlluminationSpec((1.0, 1.0, 1.0), 1.0, STD_MAX)
+        noisy = level + (box_muller(doubles_from(raw)) * STD_MAX).reshape(pixels.shape)
+        expected = np.clip(round_half_away(noisy), 0, 255).astype(np.uint8)
+        assert np.array_equal(apply_illumination(pixels, spec, [0]), expected)
+
+    def test_redoing_every_value_keeps_the_bytes(self, monkeypatch):
+        # a slack of half a level leaves no value sure, so each takes the
+        # float64 redo; the bytes must be those of the float32 estimates
+        pixels = np.concatenate([EVERY_VALUE] * 3 + [np.full_like(EVERY_VALUE, 255)])
+        specs = [ILLUMINANT_PRESETS["bright"], IlluminationSpec((0.3, 1.2, 1.9), 1.6, STD_MAX)]
+        seeds = [derive_stream_seed(9, i) for i in range(len(pixels))]
+        before = [apply_illumination(pixels, spec, seeds) for spec in specs]
+        redone = []
+        exact = synth.box_muller
+
+        def counted(u):
+            redone.append(u.size // 2)
+            return exact(u)
+
+        monkeypatch.setattr(synth, "NOISE_SLACK", 0.5)
+        monkeypatch.setattr(synth, "box_muller", counted)
+        for spec, lit in zip(specs, before):
+            redone.clear()
+            assert np.array_equal(apply_illumination(pixels, spec, seeds), lit)
+            assert sum(redone) == pixels.size
+
+
+# Off AVX-512, numpy's float32 sin and cos take another SIMD loop (and its
+# float64 log another), so the lighting's bound and redo must keep the bytes
+# there too.
+@pytest.mark.skipif(not HAS_AVX512, reason="CPU lacks AVX-512")
+def test_generator_bytes_off_avx512():
+    out = run_tests_off_avx512(["tests/test_golden.py::test_generator_bytes_match_golden",
+                                "tests/test_synth.py::TestTableLighting"])
+    assert "5 passed" in out
 
 
 PRESET_NAMES = sorted(ILLUMINANT_PRESETS)

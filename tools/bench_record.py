@@ -10,8 +10,9 @@ to the root of this repository, holds the command, the checkout's commit,
 the line count of the checkout's `src/rcc/*.py` (`src_rcc_py_lines`), the
 run's host line (nproc, CPU, numpy, BLAS build and thread count) and its
 final JSON line (correct, attempted, failed and the metrics). A run that
-exits non-zero, or whose last line is not a JSON object, writes no record
-and exits 1.
+exits non-zero, whose last line is not a JSON object, or whose outputs were
+wrong (`"correct": false`) or whose operations failed (`failed` above 0)
+cannot back a claim: it writes no record and exits 1, saying why.
 """
 
 from __future__ import annotations
@@ -76,13 +77,22 @@ def main(argv: list[str] | None = None) -> int:
         }
     except (IndexError, json.JSONDecodeError):
         record = None
-    if proc.returncode != 0 or record is None or not isinstance(record["run"], dict):
-        print(f"bench_record: run exited {proc.returncode}; no record written", file=sys.stderr)
-        return 1
-    out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"bench_record: wrote {out.name}", file=sys.stderr)
-    return 0
+    run = record["run"] if record else None
+    if proc.returncode != 0:
+        why = f"run exited {proc.returncode}"
+    elif not isinstance(run, dict):
+        why = "no host line, or a last line that is not a JSON object"
+    elif run.get("correct") is not True:
+        why = "the run's outputs were not correct"
+    elif run.get("failed") != 0:
+        why = f"{run.get('failed')} operations failed"
+    else:
+        out = ROOT / f"BENCH_{args.label}.json"
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"bench_record: wrote {out.name}", file=sys.stderr)
+        return 0
+    print(f"bench_record: {why}; no record written", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
