@@ -215,17 +215,21 @@ class TestTableLighting:
         # ones.  They must keep within an eighth of that, so that a numpy
         # whose float32 loops drift fails here before it moves a byte.
         budget = synth.NOISE_SLACK / (RADIUS_MAX * STD_MAX) / 8
+
+        def check(u2=None, angle=None):
+            if angle is None:  # Box-Muller's angles of the uniforms u2
+                angle = box_muller_polar(np.stack([np.full_like(u2, 0.5), u2], axis=-1))[1]
+            angle32 = angle.astype(np.float32)
+            for trig in (np.cos, np.sin):
+                error = np.abs(trig(angle32).astype(np.float64) - trig(angle))
+                assert error.max() <= budget, trig
+
+        for start in range(0, 2**22, 2**20):  # 2*pi*k/2**22, a quarter at a time
+            check(np.arange(start, start + 2**20) / 2**22)
+        check(np.array([1 - 2.0**-53]))
         quarter_turns = np.arange(5) * (math.pi / 2)
-        edges = np.concatenate([np.nextafter(quarter_turns, -np.inf)[1:], quarter_turns,
-                                np.nextafter(quarter_turns, np.inf)])
-        grids = [np.arange(start, start + 2**20) / 2**22 for start in range(0, 2**22, 2**20)]
-        for u2 in [*grids, np.array([1 - 2.0**-53])]:
-            _, angles = box_muller_polar(np.stack([np.full_like(u2, 0.5), u2], axis=-1))
-            for angle in (angles.ravel(), edges):
-                angle32 = angle.astype(np.float32)
-                for trig in (np.cos, np.sin):
-                    error = np.abs(trig(angle32).astype(np.float64) - trig(angle))
-                    assert error.max() <= budget, trig
+        check(angle=np.concatenate([np.nextafter(quarter_turns, -np.inf)[1:], quarter_turns,
+                                    np.nextafter(quarter_turns, np.inf)]))
 
     def test_values_whose_float32_noise_rounds_apart_are_redone(self, monkeypatch):
         # Every u1 is 0, floored to 2**-53: the largest radius.  Of 2**20
@@ -252,7 +256,7 @@ class TestTableLighting:
 
     def test_redoing_every_value_keeps_the_bytes(self, monkeypatch):
         # a slack of half a level leaves no value sure, so each takes the
-        # float64 redo; the bytes must be those of the float32 estimates
+        # float64 redo, and no byte may move
         pixels = np.concatenate([EVERY_VALUE] * 3 + [np.full_like(EVERY_VALUE, 255)])
         specs = [ILLUMINANT_PRESETS["bright"], IlluminationSpec((0.3, 1.2, 1.9), 1.6, STD_MAX)]
         seeds = [derive_stream_seed(9, i) for i in range(len(pixels))]
