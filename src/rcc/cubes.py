@@ -110,20 +110,15 @@ def extract_color_cubes(img: Image, rect: BoundRect) -> CubeGrid:
     )
 
 
-def aggregate_votes(
-    labels: list[int], confidences: np.ndarray
-) -> tuple[int, float]:
+def aggregate_votes(confidences: np.ndarray) -> tuple[int, float]:
     """Fold nine per-cube predictions into one label.
 
-    `labels` holds the nine per-cube class indices, `confidences` the
-    matching (9, n_classes) probability vectors (each summing to 1).
-    Majority vote over the labels; ties go to the tied class with the
-    greatest mean probability over all nine cubes.  Returns (label index,
-    mean probability of that label).
+    `confidences` holds the nine cubes' probability vectors, (9, n_classes),
+    each summing to 1.  Each cube votes for its argmax; a tied vote goes to
+    the tied class with the greatest mean probability over all nine cubes.
+    Returns (label index, mean probability of that label).
     """
     n = GRID_SIDE * GRID_SIDE
-    if len(labels) != n:
-        raise ValueError(f"expected {n} labels, got {len(labels)}")
     confidences = np.asarray(confidences, dtype=np.float64)
     if confidences.ndim != 2 or confidences.shape[0] != n:
         raise ValueError(
@@ -131,7 +126,7 @@ def aggregate_votes(
         )
     if not np.allclose(confidences.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("each confidence vector must sum to 1")
-    votes = np.bincount(np.asarray(labels), minlength=confidences.shape[1])
+    votes = np.bincount(confidences.argmax(axis=1), minlength=confidences.shape[1])
     means = confidences.mean(axis=0)
     tied = np.flatnonzero(votes == votes.max())
     label = int(tied[np.argmax(means[tied])])

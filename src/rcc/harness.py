@@ -203,14 +203,13 @@ def detect(img: Image, params: NetworkParams, mode: str = "adaptive") -> dict:
     box = detect_bounding_box(img, mode)
     grid = extract_color_cubes(img, box)
     probs = predict_probabilities(images_to_batch(grid.cubes), params)
-    cube_labels = [int(i) for i in probs.argmax(axis=1)]
-    label, confidence = aggregate_votes(cube_labels, probs)
+    label, confidence = aggregate_votes(probs)
     names = params.class_names
     return {
         "box": {"x": box.x, "y": box.y, "w": box.w, "h": box.h},
         "label": names[label],
         "confidence": confidence,
-        "cube_labels": [names[i] for i in cube_labels],
+        "cube_labels": [names[i] for i in probs.argmax(axis=1)],
     }
 
 

@@ -276,10 +276,13 @@ def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:
     """Every 8-connected component as (pixel count, box), in scan order of
     each component's first pixel.
 
-    Row-run labelling (He, Chao & Suzuki, 2008): the mask's row runs are
-    joined by union-find wherever a run touches one in the row above,
-    diagonals included.  The root is always the smaller run index, so each
-    component's root is its first run in scan order.
+    Row-run labelling (He, Chao & Suzuki, 2008): each run touches runs in
+    the row above, diagonals included, and all touching pairs join at once
+    (after Shiloach & Vishkin, 1982).  Each round hooks every root onto the
+    smallest root it touches, then jumps every run to its root until none
+    moves.  Roots only move to smaller run indices, so each component's
+    root is its first run in scan order.  Each round lowers at least one
+    root and no parent rises, so the rounds end, with no O(log n) bound.
     """
     bits = mask.bits
     h, w = bits.shape
@@ -295,22 +298,19 @@ def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:
     above = (rows - 1) * stride
     first = np.searchsorted(rows * stride + ends, above + starts, side="left")
     stop = np.searchsorted(rows * stride + starts, above + ends, side="right")
-    parent = list(range(len(starts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for b, (lo, hi) in enumerate(zip(first.tolist(), stop.tolist())):
-        for a in range(lo, hi):
-            ra, rb = find(a), find(b)
-            if ra < rb:
-                parent[rb] = ra
-            elif rb < ra:
-                parent[ra] = rb
-    root = np.array([find(i) for i in range(len(parent))], dtype=np.int64)
+    touching = np.maximum(stop - first, 0)  # stop < first where none touch
+    b = np.repeat(np.arange(len(starts)), touching)
+    a = np.arange(len(b)) + np.repeat(first + touching - touching.cumsum(), touching)
+    root = np.arange(len(starts))
+    # the jumps reuse these; np.take buffers its out= unless mode is "clip"
+    jumped, moved = np.empty_like(root), np.empty(len(root), dtype=bool)
+    ra, rb = a, b
+    while (ra != rb).any():
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        root, jumped = np.take(root, root, out=jumped, mode="clip"), root
+        while np.not_equal(root, jumped, out=moved).any():
+            root, jumped = np.take(root, root, out=jumped, mode="clip"), root
+        ra, rb = root[a], root[b]
     # each component's totals gather at its root run, whose row is its top row
     counts = np.bincount(root, weights=ends - starts, minlength=len(root))
     left, right, bottom = starts.copy(), ends.copy(), rows.copy()

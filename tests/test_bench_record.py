@@ -12,19 +12,21 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 HOST = {"nproc": 1, "cpu": "stub", "python": "3", "numpy": "2", "blas": "stub", "blas_threads": 1}
+WORKLOAD = "workload detect: rounds 11, 26.1 s timed, attempted 4, failed 0"
 
 
-def stub_checkout(root: Path, last_line: str) -> None:
-    """A checkout whose perfbench/run.py prints a host line, then `last_line`."""
+def stub_checkout(root: Path, last_line: str, workload: str) -> None:
+    """A checkout whose perfbench/run.py prints a host line, `workload` and
+    `last_line`."""
     (root / "perfbench").mkdir()
-    output = f"host {json.dumps(HOST)}\n{last_line}"
+    output = f"host {json.dumps(HOST)}\n{workload}\n{last_line}"
     (root / "perfbench" / "run.py").write_text(f"print({output!r})\n")
 
 
-def record_of(tmp_path, monkeypatch, last_line):
+def record_of(tmp_path, monkeypatch, last_line, workload=WORKLOAD):
     """bench_record's exit code and the record it left, or None."""
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
-    stub_checkout(tmp_path, last_line)
+    stub_checkout(tmp_path, last_line, workload)
     code = bench_record.main(["stub", "--", "--seconds", "1"])
     out = tmp_path / "BENCH_stub.json"
     return code, json.loads(out.read_text()) if out.exists() else None
@@ -39,6 +41,7 @@ def test_correct_run_is_recorded(tmp_path, monkeypatch):
     code, record = record_of(tmp_path, monkeypatch, run_line(True, 0))
     assert code == 0
     assert record["host"] == HOST
+    assert record["workload"] == WORKLOAD
     assert record["run"] == json.loads(run_line(True, 0))
     assert record["command"] == ["python3", "perfbench/run.py", "--seconds", "1"]
 
@@ -54,3 +57,10 @@ def test_run_that_cannot_back_a_claim_is_not_recorded(tmp_path, monkeypatch, cap
     assert code == 1
     assert record is None
     assert why in capsys.readouterr().err
+
+
+def test_run_without_its_workload_line_is_not_recorded(tmp_path, monkeypatch, capsys):
+    code, record = record_of(tmp_path, monkeypatch, run_line(True, 0), workload="")
+    assert code == 1
+    assert record is None
+    assert "no host or workload line" in capsys.readouterr().err

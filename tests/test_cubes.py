@@ -128,31 +128,37 @@ def one_hot_rows(labels, n_classes=6, confidence=1.0):
 
 class TestVotes:
     def test_unanimous(self):
-        labels = [2] * 9
-        label, conf = aggregate_votes(labels, one_hot_rows(labels))
+        label, conf = aggregate_votes(one_hot_rows([2] * 9))
         assert label == 2
         assert conf == pytest.approx(1.0)
 
     def test_majority_wins(self):
-        labels = [1] * 5 + [3] * 4
-        label, _ = aggregate_votes(labels, one_hot_rows(labels, confidence=0.9))
+        label, _ = aggregate_votes(one_hot_rows([1] * 5 + [3] * 4, confidence=0.9))
         assert label == 1
 
+    def test_each_cube_votes_for_its_argmax(self):
+        # five unsure cubes outvote four sure ones, though class 3 has the larger mean
+        probs = one_hot_rows([1] * 5 + [3] * 4)
+        probs[:5] = [0.12, 0.4, 0.12, 0.12, 0.12, 0.12]
+        label, conf = aggregate_votes(probs)
+        assert label == 1
+        assert conf == pytest.approx(2 / 9)
+
     def test_tie_breaks_on_mean_probability(self):
-        labels = [0] * 4 + [5] * 4 + [2]
-        probs = one_hot_rows(labels, confidence=0.8)
-        probs[8] = np.array([0.05, 0.02, 0.3, 0.02, 0.02, 0.59])
-        label, conf = aggregate_votes(labels, probs)
-        # votes tie 4-4 between classes 0 and 5; class 5 has the larger mean
+        probs = one_hot_rows([0] * 4 + [5] * 4 + [2], confidence=0.8)
+        probs[8] = np.array([0.05, 0.02, 0.5, 0.02, 0.02, 0.39])
+        # the argmaxes tie 4-4 between classes 0 and 5; class 5 has the larger mean
+        assert np.bincount(probs.argmax(axis=1)).tolist() == [4, 0, 1, 0, 0, 4]
+        label, conf = aggregate_votes(probs)
         assert label == 5
         assert conf == pytest.approx(probs[:, 5].mean())
 
     def test_wrong_cube_count_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_votes([0] * 8, one_hot_rows([0] * 8))
+            aggregate_votes(one_hot_rows([0] * 8))
 
     def test_unnormalized_confidences_rejected(self):
         probs = one_hot_rows([0] * 9)
         probs[3] *= 2
         with pytest.raises(ValueError):
-            aggregate_votes([0] * 9, probs)
+            aggregate_votes(probs)

@@ -438,6 +438,75 @@ class TestSobel:
             sobel_magnitude(GrayImage(np.zeros((2, 5), dtype=np.uint8)))
 
 
+def comb(h, w):
+    """Teeth in every other column, joined only by the last row."""
+    bits = stripes((h, w), "columns") == 0
+    bits[-1] = True
+    return bits
+
+
+def serpentine(h, w):
+    """Every other row, each joined to the next at alternate ends: one path."""
+    bits = stripes((h, w), "rows") == 0
+    bits[1::4, -1] = True
+    bits[3::4, 0] = True
+    return bits
+
+
+def spiral(n):
+    """Square rings two pixels apart, each open at its top-left corner and
+    stepping in there to the ring inside it: one path winding inward."""
+    bits = np.zeros((n, n), dtype=bool)
+    for k in range(0, n // 2, 2):
+        far = n - 1 - k
+        bits[k, k:far + 1] = bits[k:far + 1, far] = bits[far, k:far + 1] = True
+        bits[k + 2 : far + 1, k] = True
+        bits[k + 2, k + 1] = True
+    return bits
+
+
+def staircase(h, w):
+    """Two pixels a row, each row one step right of the one above: rows
+    that touch only diagonally."""
+    bits = np.zeros((h, w), dtype=bool)
+    for row in range(h):
+        bits[row, 2 * row % w : 2 * row % w + 2] = True
+    return bits
+
+
+def arches(h, tops):
+    """Columns two pixels apart, paired into arches whose tops lie at the
+    rows `tops`, each arch joined to the next along the bottom row: one
+    path.  An arch's root is its top run, which hooks only onto a
+    neighbouring arch's higher top, so tops at bit-reversed rows take a
+    hook round per bit."""
+    bits = np.zeros((h, 4 * len(tops)), dtype=bool)
+    for k, top in enumerate(tops):
+        left, right = 4 * k, 4 * k + 2
+        bits[top:, left] = bits[top:, right] = bits[top, left:right] = True
+    bits[-1, 3:-4:4] = True  # the gaps between arches, not within them
+    return bits
+
+
+# Masks whose components join late or only through long chains of runs:
+# (mask, its number of components).
+CHAIN_MASKS = {
+    "comb": (comb(96, 128), 1),
+    "comb_sideways": (comb(40, 128).T.copy(), 1),
+    "vertical_stripes": (stripes((96, 128), "columns") == 0, 64),
+    "serpentine": (serpentine(95, 128), 1),
+    "serpentine_upright": (serpentine(127, 96).T.copy(), 1),
+    "spiral": (spiral(96), 1),
+    "arches": (arches(96, [int(f"{k:05b}"[::-1], 2) for k in range(32)]), 1),
+    "checkerboard": (stripes((96, 128), "checkerboard") == 0, 1),
+    "staircase": (staircase(96, 128), 2),
+    "staircase_left": (staircase(96, 128)[:, ::-1].copy(), 2),
+    "one_row": (stripes((1, 128), "columns") == 0, 64),
+    "one_column": (np.ones((96, 1), dtype=bool), 1),
+    "full": (np.ones((96, 128), dtype=bool), 1),
+}
+
+
 class TestComponents:
     def test_diagonal_pixels_are_one_component(self):
         mask = BinaryMask(np.eye(4, dtype=bool))
@@ -472,6 +541,14 @@ class TestComponents:
     )
     def test_matches_flood_fill_on_arbitrary_masks(self, bits):
         assert label_components(BinaryMask(bits)) == flood_fill_boxes(bits)
+
+    @pytest.mark.parametrize("name", CHAIN_MASKS)
+    def test_matches_flood_fill_on_late_and_long_joins(self, name):
+        # these need several hook rounds and pointer jumps; the 24x24 masks above do not
+        bits, count = CHAIN_MASKS[name]
+        components = label_components(BinaryMask(bits))
+        assert len(components) == count
+        assert components == flood_fill_boxes(bits)
 
 
 class TestContours:

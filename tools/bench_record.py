@@ -8,9 +8,11 @@ repository), e.g. `--workload gen --seed 1301 --seconds 26 --trace 0`.
 The run's output passes through to standard output. The record, written
 to the root of this repository, holds the command, the checkout's commit,
 the line count of the checkout's `src/rcc/*.py` (`src_rcc_py_lines`), the
-run's host line (nproc, CPU, numpy, BLAS build and thread count) and its
-final JSON line (correct, attempted, failed and the metrics). A run that
-exits non-zero, whose last line is not a JSON object, or whose outputs were
+run's host line (nproc, CPU, numpy, BLAS build and thread count), its
+`workload ...: rounds N, ...` line, so that the two sides of a pair show
+how many rounds each timed, and its final JSON line (correct, attempted,
+failed and the metrics). A run that exits non-zero, that printed no host or
+workload line, whose last line is not a JSON object, or whose outputs were
 wrong (`"correct": false`) or whose operations failed (`failed` above 0)
 cannot back a claim: it writes no record and exits 1, saying why.
 """
@@ -67,12 +69,14 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(line)
             lines.append(line.rstrip("\n"))
     host = [line[len("host "):] for line in lines if line.startswith("host ")]
+    workload = [line for line in lines if line.startswith("workload ")]
     try:
         record = {
             "command": command,
             "commit": commit_of(checkout),
             "src_rcc_py_lines": source_lines(checkout),
             "host": json.loads(host[0]),
+            "workload": workload[0],
             "run": json.loads(lines[-1]),
         }
     except (IndexError, json.JSONDecodeError):
@@ -81,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     if proc.returncode != 0:
         why = f"run exited {proc.returncode}"
     elif not isinstance(run, dict):
-        why = "no host line, or a last line that is not a JSON object"
+        why = "no host or workload line, or a last line that is not a JSON object"
     elif run.get("correct") is not True:
         why = "the run's outputs were not correct"
     elif run.get("failed") != 0:
