@@ -23,7 +23,7 @@ from .synth import read_csv, write_csv
 N_CLASSES = len(CLASS_NAMES)
 
 
-class CalibrationError(Exception):
+class CalibrationError(ValueError):
     """Training data cannot produce a range for every class."""
 
 

@@ -17,10 +17,8 @@ from pathlib import Path
 
 from . import baseline as baseline_mod
 from . import harness, net, synth
-from .baseline import CalibrationError
-from .image import PpmError, read_ppm, write_ppm
+from .image import read_ppm, write_ppm
 from .net import (
-    CheckpointError,
     NumericError,
     gradient_check,
     init_params,
@@ -254,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"rcc: error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, PpmError, CheckpointError, CalibrationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"rcc: error: {exc}", file=sys.stderr)
         return EXIT_IO
 

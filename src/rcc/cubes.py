@@ -1,9 +1,9 @@
 """Color-cube extraction: a 3x3 grid of fixed-size patches from a box.
 
-The detected object is cropped, upscaled if it is too small to host the
-grid, and sampled at nine cell midpoints.  Each cube is classified on its
-own; aggregate_votes folds the nine per-cube probability vectors into a
-single label.
+The box is upscaled (nearest neighbor) if it is too small to host the grid,
+and sampled at nine cell midpoints; only the rows and columns that the cubes
+read are ever gathered.  Each cube is classified on its own; aggregate_votes
+folds the nine per-cube probability vectors into a single label.
 """
 
 from __future__ import annotations
@@ -23,48 +23,22 @@ GRID_SIDE = 3
 
 @dataclass(frozen=True)
 class CubeGrid:
-    """Nine cubes, a (9, 32, 32, 3) uint8 stack, with their centers and
-    rects in resized-crop coordinates.
+    """Nine cubes, a (9, 32, 32, 3) uint8 stack, with their rects in
+    upscaled-box coordinates.
 
     Order is column-major over the grid: index k = 3*i + j where i is the
     grid column and j the grid row, both counted from the top-left.
     """
 
     cubes: np.ndarray
-    centers: tuple[tuple[int, int], ...]
     rects: tuple[BoundRect, ...]
     crop_size: tuple[int, int]  # (width, height) after any upscaling
 
     def __post_init__(self):
         n = GRID_SIDE * GRID_SIDE
         shape = (n, CUBE_SIZE, CUBE_SIZE, 3)
-        if not (self.cubes.shape == shape and len(self.centers) == len(self.rects) == n):
+        if not (self.cubes.shape == shape and len(self.rects) == n):
             raise ValueError(f"grid must hold exactly {n} cubes")
-
-
-def crop(img: Image, rect: BoundRect) -> Image:
-    """Cut the rectangle out of the image; rect must lie inside it."""
-    if rect.x + rect.w > img.width or rect.y + rect.h > img.height:
-        raise ValueError(
-            f"rect {rect} exceeds image bounds {img.width}x{img.height}"
-        )
-    return Image(img.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w])
-
-
-def resize_nearest(img: Image, new_w: int, new_h: int) -> Image:
-    """Nearest-neighbor resize: each target pixel reads the source pixel
-    under its center, src = floor((dst + 0.5) * src_extent / dst_extent)."""
-    if new_w < 1 or new_h < 1:
-        raise ValueError(f"target size {new_w}x{new_h} must be positive")
-    cols = np.minimum(
-        ((np.arange(new_w) + 0.5) * img.width / new_w).astype(np.int64),
-        img.width - 1,
-    )
-    rows = np.minimum(
-        ((np.arange(new_h) + 0.5) * img.height / new_h).astype(np.int64),
-        img.height - 1,
-    )
-    return Image(img.pixels.take(rows, axis=0).take(cols, axis=1))
 
 
 def cube_centers(width: int, height: int) -> tuple[tuple[int, int], ...]:
@@ -82,31 +56,50 @@ def cube_centers(width: int, height: int) -> tuple[tuple[int, int], ...]:
     return tuple(centers)
 
 
+def _source_offsets(starts: list[int], size: int, extent: int) -> np.ndarray:
+    """Box offsets, along one axis, of the CUBE_SIZE pixels from each start
+    in a box upscaled from `extent` to `size` pixels: each upscaled pixel
+    reads the box pixel under its center, min(floor((d + 0.5) * extent /
+    size), extent - 1), which is d itself when size == extent."""
+    d = (np.array(starts)[:, None] + np.arange(CUBE_SIZE)).ravel()
+    return np.minimum(((d + 0.5) * extent / size).astype(np.int64), extent - 1)
+
+
 def extract_color_cubes(img: Image, rect: BoundRect) -> CubeGrid:
-    """Crop the box and sample nine CUBE_SIZE x CUBE_SIZE cubes at cell
+    """Sample nine CUBE_SIZE x CUBE_SIZE cubes from the box at cell
     midpoints.
 
-    Crops smaller than the 3x3 footprint in either dimension are upscaled
+    A box smaller than the 3x3 footprint in either dimension is upscaled
     (nearest neighbor, aspect preserved up to rounding) until both
-    dimensions fit, so every cube lies fully inside the crop.
+    dimensions fit, so every cube lies fully inside it.  Only the cubes'
+    rows and columns are read, one `take` per axis, so the memory used is
+    bounded by the footprint times the box's width, whatever the upscale.
     """
-    area = crop(img, rect)
+    if rect.x + rect.w > img.width or rect.y + rect.h > img.height:
+        raise ValueError(
+            f"rect {rect} exceeds image bounds {img.width}x{img.height}"
+        )
     need = GRID_SIDE * CUBE_SIZE
-    if area.width < need or area.height < need:
-        factor = max(need / area.width, need / area.height)
-        new_w = max(math.ceil(area.width * factor), need)
-        new_h = max(math.ceil(area.height * factor), need)
-        area = resize_nearest(area, new_w, new_h)
+    width, height = rect.w, rect.h
+    if width < need or height < need:
+        factor = max(need / width, need / height)
+        width = max(math.ceil(width * factor), need)
+        height = max(math.ceil(height * factor), need)
     half = CUBE_SIZE // 2
-    centers = cube_centers(area.width, area.height)
-    rects = tuple(BoundRect(x - half, y - half, CUBE_SIZE, CUBE_SIZE) for x, y in centers)
-    # cube k is the crop's window at rects[k], copied out in one indexing step
-    windows = np.lib.stride_tricks.sliding_window_view(area.pixels, (CUBE_SIZE, CUBE_SIZE, 3))
+    rects = tuple(
+        BoundRect(x - half, y - half, CUBE_SIZE, CUBE_SIZE)
+        for x, y in cube_centers(width, height)
+    )
+    rows = _source_offsets([r.y for r in rects[:GRID_SIDE]], height, rect.h)
+    cols = _source_offsets([r.x for r in rects[::GRID_SIDE]], width, rect.w)
+    box = img.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
+    # the (grid row, row, grid column, column) block, cube k = 3*i + j
+    block = box.take(rows, axis=0).take(cols, axis=1)
+    block = block.reshape(GRID_SIDE, CUBE_SIZE, GRID_SIDE, CUBE_SIZE, 3)
     return CubeGrid(
-        cubes=windows[[r.y for r in rects], [r.x for r in rects], 0],
-        centers=centers,
+        cubes=block.transpose(2, 0, 1, 3, 4).reshape(-1, CUBE_SIZE, CUBE_SIZE, 3),
         rects=rects,
-        crop_size=(area.width, area.height),
+        crop_size=(width, height),
     )
 
 

@@ -18,19 +18,7 @@ import numpy as np
 
 
 class PpmError(ValueError):
-    """Base class for PPM stream problems."""
-
-
-class PpmHeaderError(PpmError):
-    """Magic number or header tokens are not a valid P6 header."""
-
-
-class PpmMaxvalError(PpmError):
-    """Stream declares a maxval other than 255."""
-
-
-class PpmTruncatedError(PpmError):
-    """Pixel payload is shorter or longer than the header promises."""
+    """Bytes that are not a P6 PPM stream with maxval 255."""
 
 
 def round_half_up(values: np.ndarray) -> np.ndarray:
@@ -131,7 +119,7 @@ def _read_header_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes
                 i += 1
             continue
         if i >= n:
-            raise PpmHeaderError("unexpected end of stream in header")
+            raise PpmError("unexpected end of stream in header")
         j = i
         while j < n and not data[j : j + 1].isspace() and data[j] != ord("#"):
             j += 1
@@ -143,27 +131,27 @@ def _read_header_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes
 def read_ppm(data: bytes) -> Image:
     """Parse a binary PPM (P6, maxval 255) byte stream."""
     if len(data) < 2 or data[:2] != b"P6":
-        raise PpmHeaderError("missing P6 magic number")
+        raise PpmError("missing P6 magic number")
     if not (data[2:3].isspace() or data[2:3] == b"#"):  # else "P632 32 255" reads as 32x32
-        raise PpmHeaderError("missing whitespace after the P6 magic number")
+        raise PpmError("missing whitespace after the P6 magic number")
     tokens, pos = _read_header_tokens(data, 2, 3)
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
-        raise PpmHeaderError(f"non-numeric header token: {exc}") from exc
+        raise PpmError(f"non-numeric header token: {exc}") from exc
     if width < 1 or height < 1:
-        raise PpmHeaderError(f"invalid dimensions {width}x{height}")
+        raise PpmError(f"invalid dimensions {width}x{height}")
     if maxval != 255:
-        raise PpmMaxvalError(f"unsupported maxval {maxval}, only 255 is accepted")
+        raise PpmError(f"unsupported maxval {maxval}, only 255 is accepted")
     for token in tokens:  # int() also takes a sign and underscores; "-1" fails above
         if not token.isdigit():
-            raise PpmHeaderError(f"header token {token!r} is not ASCII digits")
+            raise PpmError(f"header token {token!r} is not ASCII digits")
     if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise PpmHeaderError("missing whitespace after maxval")
+        raise PpmError("missing whitespace after maxval")
     payload = memoryview(data)[pos + 1 :]  # Image makes the one copy
     expected = width * height * 3
     if len(payload) != expected:
-        raise PpmTruncatedError(
+        raise PpmError(
             f"payload holds {len(payload)} bytes, header promises {expected}"
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)

@@ -108,7 +108,7 @@ ILLUMINANT_PRESETS: dict[str, IlluminationSpec] = {
     "bright": IlluminationSpec((1.5, 1.5, 1.5), 1.0, NOISE_STD),
 }
 
-ILLUMINANT_CYCLE = ("identity", "warm", "cool", "dim", "bright")
+ILLUMINANT_CYCLE = tuple(ILLUMINANT_PRESETS)
 
 
 def _chunks(n: int, count: int) -> Iterator[tuple[tuple, tuple]]:
@@ -409,22 +409,26 @@ def read_csv(
 ) -> list[tuple[int, T]]:
     """(line number, `parse(row)`) for each row of a CSV text, in file order.
 
-    Raises ValueError unless the header is `columns` and every row has
-    exactly that many fields; that error, and any ValueError from `parse`,
-    names the file and the line.
+    Raises ValueError unless the header is `columns`, every field fits
+    csv's field size limit and every row has exactly that many fields;
+    each error but the header's, and any ValueError from `parse`, names
+    the file and the line.
     """
     reader = csv.DictReader(io.StringIO(text))
-    if tuple(reader.fieldnames or ()) != columns:
-        raise ValueError(f"unexpected {name} columns {reader.fieldnames}")
     parsed = []
-    for row in reader:
-        try:
-            # DictReader keys extra fields under None and fills missing ones with None
-            if None in row or None in row.values():
-                raise ValueError(f"expected {len(columns)} fields")
-            parsed.append((reader.line_num, parse(row)))
-        except ValueError as exc:
-            raise ValueError(f"{name} line {reader.line_num}: {exc}") from exc
+    try:
+        if tuple(reader.fieldnames or ()) != columns:
+            raise ValueError(f"unexpected {name} columns {reader.fieldnames}")
+        for row in reader:
+            try:
+                # DictReader keys extra fields under None and fills missing ones with None
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(columns)} fields")
+                parsed.append((reader.line_num, parse(row)))
+            except ValueError as exc:
+                raise ValueError(f"{name} line {reader.line_num}: {exc}") from exc
+    except csv.Error as exc:  # DictReader.line_num is not yet the failing row's
+        raise ValueError(f"{name} line {reader.reader.line_num}: {exc}") from exc
     return parsed
 
 

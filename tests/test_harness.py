@@ -282,7 +282,9 @@ class TestCli:
          "line 7: class index 9 out of range"),
         (lambda lines: _set_field(lines, 6, 2, "nan"), "line 6: h_max nan outside"),
         (lambda lines: _set_field(lines, 6, 2, "inf"), "line 6: h_max inf outside"),
-    ], ids=["short", "missing", "duplicate", "index", "nan", "inf"])
+        (lambda lines: _set_field(lines, 6, 2, "9" * 131073),
+         "ranges.csv line 6: field larger than field limit (131072)"),
+    ], ids=["short", "missing", "duplicate", "index", "nan", "inf", "huge"])
     def test_bad_ranges_file_is_io_error(self, tmp_path, capsys, edit, message):
         data = tmp_path / "data"
         ranges = tmp_path / "ranges.csv"
@@ -599,8 +601,10 @@ class TestCli:
         ("manifest.csv", 6, "-5", "seed -5 outside [0, 2**64)"),
         ("manifest.csv", 6, str(2**64), f"seed {2**64} outside [0, 2**64)"),
         ("scenes.csv", 7, "moonlight", "unknown illuminant 'moonlight'"),
+        ("manifest.csv", 0, "p" * 131073, "field larger than field limit (131072)"),
+        ("scenes.csv", 0, "s" * 131073, "field larger than field limit (131072)"),
     ], ids=["brightness-nan", "brightness-high", "illuminant", "seed-negative",
-            "seed-wide", "scene-illuminant"])
+            "seed-wide", "scene-illuminant", "huge", "scene-huge"])
     def test_bad_manifest_field_is_io_error(
         self, tmp_path, capsys, csv_name, column, value, message
     ):

@@ -16,9 +16,6 @@ from rcc import net
 from rcc.net import (
     CLASS_NAMES,
     CheckpointError,
-    CheckpointMagicError,
-    CheckpointTruncatedError,
-    CheckpointVersionError,
     ConvLayerParams,
     FcLayerParams,
     PoolSpec,
@@ -616,21 +613,21 @@ class TestCheckpoint:
     def test_bad_magic(self):
         blob = bytearray(save_checkpoint(init_params(0)))
         blob[:4] = b"XXXX"
-        with pytest.raises(CheckpointMagicError):
+        with pytest.raises(CheckpointError, match="^bad magic b'XXXX'$"):
             load_checkpoint(bytes(blob))
 
     def test_bad_version(self):
         blob = bytearray(save_checkpoint(init_params(0)))
         blob[4] = 9
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError, match="^unsupported version 9$"):
             load_checkpoint(bytes(blob))
         # the version is checked before the layer count is read
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError, match="^unsupported version 9$"):
             load_checkpoint(bytes(blob[:8]))
 
     def test_truncated_stream(self):
         blob = save_checkpoint(init_params(0))
-        with pytest.raises(CheckpointTruncatedError):
+        with pytest.raises(CheckpointError, match=r"^needed \d+ bytes at offset \d+, stream has \d+$"):
             load_checkpoint(blob[: len(blob) // 2])
 
     def test_every_prefix_at_a_header_or_tensor_boundary_is_truncated(self):
@@ -648,7 +645,7 @@ class TestCheckpoint:
                 cuts.update((pos - 1, pos + 1))
         assert pos == len(blob)
         for cut in sorted(cuts - {len(blob) + 1}):
-            with pytest.raises(CheckpointTruncatedError):
+            with pytest.raises(CheckpointError, match=r"^needed \d+ bytes at offset \d+, stream has \d+$"):
                 load_checkpoint(blob[:cut])
 
     def test_trailing_garbage(self):
@@ -659,7 +656,7 @@ class TestCheckpoint:
     def test_unknown_layer_kind(self):
         blob = bytearray(save_checkpoint(init_params(0)))
         blob[12] = 7  # first layer kind byte
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="^conv1 kind or dimensions differ"):
             load_checkpoint(bytes(blob))
 
     @pytest.mark.parametrize("conv1_shape, paddings", [
@@ -675,11 +672,6 @@ class TestCheckpoint:
         assert _raw_checkpoint() == save_checkpoint(init_params(0))
         with pytest.raises(CheckpointError, match="conv1 kind or dimensions"):
             load_checkpoint(_raw_checkpoint(conv1_shape, paddings))
-
-    def test_error_hierarchy(self):
-        assert issubclass(CheckpointMagicError, CheckpointError)
-        assert issubclass(CheckpointVersionError, CheckpointError)
-        assert issubclass(CheckpointTruncatedError, CheckpointError)
 
 
 class TestParamValidation:
