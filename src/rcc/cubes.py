@@ -44,8 +44,8 @@ class CubeGrid:
 def cube_centers(width: int, height: int) -> tuple[tuple[int, int], ...]:
     """Midpoints of the 3x3 cells over a width x height area.
 
-    Cell (i, j) is centered at x = (2i+1)*W/6, y = (2j+1)*H/6, rounded to
-    the nearest pixel; ordering is column-major (i outer, j inner).
+    Cell (i, j) is centered at x = (2i+1)*W/6, y = (2j+1)*H/6, rounded
+    ties to even by Python's round; ordering is column-major (i outer, j inner).
     """
     centers = []
     for i in range(GRID_SIDE):

@@ -1,4 +1,4 @@
-"""Image containers, gray conversion, rounding, and PPM (P6) file I/O.
+"""The RGB image container, rounding, and PPM (P6) file I/O.
 
 The on-disk format is binary PPM with maxval 255: ``P6\\n{w} {h}\\n255\\n``
 followed by width*height*3 bytes row-major.  Writing emits exactly that
@@ -6,8 +6,10 @@ canonical form; reading additionally tolerates ``#`` comments and arbitrary
 whitespace between header tokens, so the round trip is bit-exact for
 canonical streams.
 
-Rounding rule used across the whole package (`round_half_up`, `to_uint8`):
-round half away from zero, then clamp to the target range.
+Rounding rule of every pixel value the package computes (`round_half_up`,
+`to_uint8`): round half away from zero, then clamp to the target range.
+Positions are not pixel values: `cubes.cube_centers` rounds with Python's
+`round`, ties to even.
 """
 
 from __future__ import annotations
@@ -38,23 +40,6 @@ def to_uint8(values: np.ndarray) -> np.ndarray:
     return np.clip(round_half_up(values), 0, 255, out=values).astype(np.uint8)
 
 
-def _as_channel_array(pixels: np.ndarray, expect_ndim: int) -> np.ndarray:
-    arr = np.asarray(pixels)
-    if arr.ndim != expect_ndim:
-        raise ValueError(f"expected {expect_ndim}-d pixel array, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("image must have at least one pixel")
-    if arr.dtype != np.uint8:
-        # NaN fails every test here, and a fraction would truncate in the cast
-        if not np.all((arr >= 0) & (arr <= 255) & (np.floor(arr) == arr)):
-            raise ValueError("channel values must be integers in [0, 255]")
-        arr = arr.astype(np.uint8)
-    else:
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Image:
     """RGB raster, 8-bit channels, stored as a read-only (h, w, 3) array."""
@@ -62,9 +47,19 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = _as_channel_array(self.pixels, 3)
+        arr = np.asarray(self.pixels)
+        if arr.ndim != 3:
+            raise ValueError(f"expected 3-d pixel array, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValueError("image must have at least one pixel")
+        if arr.dtype != np.uint8:
+            # NaN fails every test here, and a fraction would truncate in the cast
+            if not np.all((arr >= 0) & (arr <= 255) & (np.floor(arr) == arr)):
+                raise ValueError("channel values must be integers in [0, 255]")
+        arr = arr.astype(np.uint8, order="C")  # a copy, so no caller can write to it
         if arr.shape[2] != 3:
             raise ValueError(f"expected 3 channels, got {arr.shape[2]}")
+        arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
     @property
@@ -77,27 +72,6 @@ class Image:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Image) and np.array_equal(self.pixels, other.pixels)
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """Single-channel 8-bit raster, read-only (h, w) array."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", _as_channel_array(self.pixels, 2))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
 
 
 def write_ppm(img: Image) -> bytes:
@@ -157,30 +131,3 @@ def read_ppm(data: bytes) -> Image:
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
     return Image(pixels)
 
-
-# Rows per band of gray here and the blur in segment: each band's buffers
-# stay in L2 instead of streaming whole-image temporaries through memory
-# once per tap.  The blur's float32 products also take a band's columns in
-# tiles of BAND_ROWS, so its one band matrix serves both passes.  The
-# threshold runs in one pass, which was faster there.
-BAND_ROWS = 64
-
-
-def rgb_to_gray(img: Image) -> GrayImage:
-    """BT.601 luma: gray = round(0.299 r + 0.587 g + 0.114 b).
-
-    Runs over bands of BAND_ROWS rows; every pixel sees the same products
-    and adds, in the same order, as a whole-image pass.
-    """
-    px = img.pixels
-    gray = np.empty(px.shape[:2], dtype=np.uint8)
-    luma = np.empty((min(BAND_ROWS, img.height), img.width))
-    term = np.empty_like(luma)
-    for top in range(0, img.height, BAND_ROWS):
-        rows = px[top : top + BAND_ROWS]
-        acc, tmp = luma[: len(rows)], term[: len(rows)]
-        np.multiply(rows[:, :, 0], 0.299, out=acc)
-        acc += np.multiply(rows[:, :, 1], 0.587, out=tmp)
-        acc += np.multiply(rows[:, :, 2], 0.114, out=tmp)
-        gray[top : top + len(rows)] = round_half_up(acc)  # luma lies in [0, 255]
-    return GrayImage(gray)

@@ -11,9 +11,10 @@ blur sums in float32 first, as BLAS products with band matrices of the
 taps, whose error is at most 255 * (2 * taps + 2) * 2**-24 (3.65e-4 for
 sigma 1.4) in any summation order, and redoes in float64 only the pixels
 that lie within twice that of a rounding tie.  The gray conversion and
-the blur run in row bands of image.BAND_ROWS, whose buffers stay in
-cache.  The threshold's box sums are one whole-image pass, in int16 when
-they cannot overflow it: bands were slower.
+the blur run in row bands of BAND_ROWS, whose buffers stay in cache.  The
+threshold's box sums are one whole-image pass, in int16 when they cannot
+overflow it: bands were slower.  The stages hand on plain 2-d arrays,
+uint8 levels or bool masks; only label_components reads a BinaryMask.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import BAND_ROWS, GrayImage, Image, rgb_to_gray, round_half_up, to_uint8
+from .image import Image, round_half_up, to_uint8
 
 
 class NoObjectError(Exception):
@@ -67,6 +68,33 @@ BLUR_SIGMA = 1.4
 THRESHOLD_WINDOW = 11
 THRESHOLD_OFFSET = 2.0
 SOBEL_THRESHOLD = 80
+
+# Rows per band of the gray conversion and the blur: each band's buffers
+# stay in L2 instead of streaming whole-image temporaries through memory
+# once per tap.  The blur's float32 products also take a band's columns in
+# tiles of BAND_ROWS, so its one band matrix serves both passes.  The
+# threshold runs in one pass, which was faster there.
+BAND_ROWS = 64
+
+
+def rgb_to_gray(img: Image) -> np.ndarray:
+    """BT.601 luma: gray = round(0.299 r + 0.587 g + 0.114 b), as uint8.
+
+    Runs over bands of BAND_ROWS rows; every pixel sees the same products
+    and adds, in the same order, as a whole-image pass.
+    """
+    px = img.pixels
+    gray = np.empty(px.shape[:2], dtype=np.uint8)
+    luma = np.empty((min(BAND_ROWS, img.height), img.width))
+    term = np.empty_like(luma)
+    for top in range(0, img.height, BAND_ROWS):
+        rows = px[top : top + BAND_ROWS]
+        acc, tmp = luma[: len(rows)], term[: len(rows)]
+        np.multiply(rows[:, :, 0], 0.299, out=acc)
+        acc += np.multiply(rows[:, :, 1], 0.587, out=tmp)
+        acc += np.multiply(rows[:, :, 2], 0.114, out=tmp)
+        gray[top : top + len(rows)] = round_half_up(acc)  # luma lies in [0, 255]
+    return gray
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -134,7 +162,7 @@ def _float32_sums(rows, across, horizontal, out):
 REDO_BAND_SHARE = 1 / 32
 
 
-def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
+def gaussian_blur(gray: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, replicate borders, rounded once at the end.
 
     The result is the float64 blur: the horizontal pass, then the
@@ -175,8 +203,8 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     across = _band_matrix(kernel.astype(np.float32), BAND_ROWS)
     slack = 2 * _float32_error_bound(size)
     radius = size // 2
-    h, w = img.height, img.width
-    padded = np.pad(img.pixels, radius, mode="edge")
+    h, w = gray.shape
+    padded = np.pad(gray, radius, mode="edge")
     blurred = np.empty((h, w), dtype=np.uint8)
     band = min(BAND_ROWS, h)
     rows32 = np.empty((band + 2 * radius, w + 2 * radius), dtype=np.float32)
@@ -216,10 +244,10 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
         acc = np.empty((size, len(ys), 1))
         out = _separable_sums(win, kernel, acc, np.empty_like(acc), np.empty((1, len(ys), 1)))
         blurred[ys, xs] = round_half_up(out).ravel()
-    return GrayImage(blurred)
+    return blurred
 
 
-def adaptive_threshold(img: GrayImage, window: int, c: float) -> BinaryMask:
+def adaptive_threshold(gray: np.ndarray, window: int, c: float) -> BinaryMask:
     """Mark pixels darker than their local window mean minus the offset c.
 
     With area = window * window and s the window's sum (replicated
@@ -240,8 +268,8 @@ def adaptive_threshold(img: GrayImage, window: int, c: float) -> BinaryMask:
     area = window * window
     dtype = np.int16 if area * (255 + abs(int(c))) < 2**15 else np.int32
     radius = window // 2
-    h, w = img.height, img.width
-    padded = np.pad(img.pixels.astype(dtype), radius, mode="edge")
+    h, w = gray.shape
+    padded = np.pad(gray.astype(dtype), radius, mode="edge")
     column_sums = padded[:h].copy()
     for k in range(1, window):
         column_sums += padded[k : k + h]
@@ -253,23 +281,23 @@ def adaptive_threshold(img: GrayImage, window: int, c: float) -> BinaryMask:
     return BinaryMask(scaled < sums)
 
 
-def sobel_magnitude(img: GrayImage) -> GrayImage:
+def sobel_magnitude(gray: np.ndarray) -> np.ndarray:
     """Gradient magnitude from the 3x3 Sobel pair, clamped to [0, 255].
 
     Each Sobel kernel is [1, 2, 1] smoothing across its axis times a
     [-1, 0, 1] difference along it, so both gradients run separably in
     exact int32.
     """
-    if img.width < 3 or img.height < 3:
-        raise ValueError(f"image {img.width}x{img.height} is smaller than 3x3")
-    padded = np.pad(img.pixels, 1, mode="edge").astype(np.int32)
+    if min(gray.shape) < 3:
+        raise ValueError(f"image {gray.shape[1]}x{gray.shape[0]} is smaller than 3x3")
+    padded = np.pad(gray, 1, mode="edge").astype(np.int32)
     down = padded[:-2] + 2 * padded[1:-1] + padded[2:]
     gx = down[:, 2:] - down[:, :-2]
     across = padded[:, :-2] + 2 * padded[:, 1:-1] + padded[:, 2:]
     gy = across[2:] - across[:-2]
     gx *= gx
     gx += gy * gy
-    return GrayImage(to_uint8(np.sqrt(gx, dtype=np.float64)))
+    return to_uint8(np.sqrt(gx, dtype=np.float64))
 
 
 def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:
@@ -325,16 +353,15 @@ def label_components(mask: BinaryMask) -> list[tuple[int, BoundRect]]:
     return components
 
 
-def dilate(mask: BinaryMask) -> BinaryMask:
-    """Binary dilation with the full 3x3 structuring element."""
-    bits = mask.bits
+def dilate(bits: np.ndarray) -> np.ndarray:
+    """Binary dilation of a bool array with the full 3x3 structuring element."""
     h, w = bits.shape
     padded = np.pad(bits, 1, mode="constant")
     grown = np.zeros_like(bits)
     for dy in range(3):
         for dx in range(3):
             grown |= padded[dy : dy + h, dx : dx + w]
-    return BinaryMask(grown)
+    return grown
 
 
 def detect_bounding_box(img: Image, mode: str = "adaptive") -> BoundRect:
@@ -344,11 +371,11 @@ def detect_bounding_box(img: Image, mode: str = "adaptive") -> BoundRect:
     blurred = gaussian_blur(rgb_to_gray(img), BLUR_SIGMA)
     if mode == "adaptive":
         mask = adaptive_threshold(blurred, THRESHOLD_WINDOW, THRESHOLD_OFFSET)
-    elif min(blurred.pixels.shape) < 3:
+    elif min(blurred.shape) < 3:
         raise NoObjectError("image is smaller than the 3x3 Sobel window")
     else:
         edges = sobel_magnitude(blurred)
-        mask = dilate(BinaryMask(edges.pixels > SOBEL_THRESHOLD))
+        mask = BinaryMask(dilate(edges > SOBEL_THRESHOLD))
     components = label_components(mask)
     if not components:
         raise NoObjectError("no foreground component found")

@@ -189,13 +189,10 @@ def test_c3_oracle_equivalence(capsys):
                     block = x[cc, 2 * by : 2 * by + 2, 2 * bx : 2 * bx + 2]
                     pool_ok = pool_ok and y[cc, by, bx] == block.max()
 
-    from rcc.image import GrayImage
-
     adaptive_ok = True
     for window in (3, 5, 11):
         pixels = rng.integers_below(256, 20 * 25).reshape(20, 25).astype(np.uint8)
-        img = GrayImage(pixels)
-        mask = adaptive_threshold(img, window, 2.0)
+        mask = adaptive_threshold(pixels, window, 2.0)
         radius = window // 2
         padded = np.pad(pixels.astype(np.int64), radius, mode="edge")
         for y in range(20):

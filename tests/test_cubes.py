@@ -35,6 +35,11 @@ class TestCenters:
         xs = sorted({c[0] for c in cube_centers(192, 192)})
         assert xs == [32, 96, 160]
 
+    def test_halves_round_to_even(self):
+        # 16.5, 49.5 and 82.5: half-up rounding would give 17, 50 and 83
+        xs = sorted({c[0] for c in cube_centers(99, 99)})
+        assert xs == [16, 50, 82]
+
     def test_rectangular_area(self):
         centers = cube_centers(96, 192)
         assert sorted({c[0] for c in centers}) == [16, 48, 80]

@@ -65,6 +65,18 @@ def test_only_synth_imports_csv():
     assert importers == ["synth.py"]
 
 
+def test_only_segment_uses_band_rows():
+    """One module owns the row-band size: the gray conversion and the blur
+    that share it both live in `segment`."""
+    users = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "BAND_ROWS" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None)):
+                users.append(path.name)
+    assert sorted(set(users)) == ["segment.py"]
+
+
 def test_only_load_split_calls_load_patches():
     """One place checks that a manifest split is there: every split the
     package scores comes through `harness.load_split`."""
