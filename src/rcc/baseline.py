@@ -12,13 +12,13 @@ match means "unknown" (returned as -1) and scores as incorrect.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .net import CLASS_NAMES
-from .synth import read_csv, write_csv
+from .synth import read_csv
 
 N_CLASSES = len(CLASS_NAMES)
 
@@ -154,15 +154,6 @@ def count_hsv_hits(
     return int((classify_hsv(patches, ranges) == labels).sum())
 
 
-RANGES_COLUMNS = tuple(f.name for f in fields(HsvRange))
-
-
-def ranges_to_csv(ranges: Sequence[HsvRange]) -> str:
-    return write_csv(
-        RANGES_COLUMNS, map(astuple, sorted(ranges, key=lambda r: r.class_index))
-    )
-
-
 def ranges_from_csv(text: str, name: str = "ranges.csv") -> list[HsvRange]:
     """Ranges in class order; ValueError naming the line unless every row
     is complete and there is exactly one per class 0..N_CLASSES-1."""
@@ -177,7 +168,7 @@ def ranges_from_csv(text: str, name: str = "ranges.csv") -> list[HsvRange]:
             raise ValueError(f"second row for class {r.class_index}")
         ranges[r.class_index] = r
 
-    rows = read_csv(text, RANGES_COLUMNS, name, parse)
+    rows = read_csv(text, HsvRange, name, parse)
     for index in range(N_CLASSES):
         if index not in ranges:
             last = rows[-1][0] if rows else 1

@@ -94,7 +94,7 @@ def cmd_train(args) -> int:
         momentum=args.momentum, batch=args.batch, seed=args.seed,
     )
     Path(args.out).write_bytes(net.save_checkpoint(params))
-    Path(args.metrics).write_text(harness.metrics_to_csv(metrics), encoding="utf-8")
+    Path(args.metrics).write_text(synth.write_csv(harness.EpochMetrics, metrics), encoding="utf-8")
     if metrics:
         last = metrics[-1]
         print(
@@ -147,7 +147,8 @@ def cmd_baseline(args) -> int:
         ranges = _load_ranges(args.ranges)
     patches, labels = harness.load_split(manifest, args.data, "test")
     if args.calibrate:  # after the test split loads, so a failed run writes none
-        Path(args.ranges).write_text(baseline_mod.ranges_to_csv(ranges), encoding="utf-8")
+        text = synth.write_csv(baseline_mod.HsvRange, ranges)
+        Path(args.ranges).write_text(text, encoding="utf-8")
     hits = baseline_mod.count_hsv_hits(patches, labels, ranges)
     action = "calibrated" if args.calibrate else "loaded"
     print(
@@ -162,7 +163,7 @@ def cmd_compare(args) -> int:
     params = _load_model(args.model)
     ranges = _load_ranges(args.ranges)
     rows = harness.compare_robustness(manifest, args.data, params, ranges)
-    Path(args.out).write_text(harness.robustness_to_csv(rows), encoding="utf-8")
+    Path(args.out).write_text(synth.write_csv(harness.RobustnessRow, rows), encoding="utf-8")
     mean_cnn = sum(r.cnn_acc for r in rows) / len(rows)
     mean_hsv = sum(r.hsv_acc for r in rows) / len(rows)
     print(f"mean accuracy over gains: cnn={mean_cnn:.4f} hsv={mean_hsv:.4f}")

@@ -8,7 +8,7 @@ not meaningful, so the per-epoch "val" metrics are computed on the same
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +36,6 @@ from .synth import (
     SampleManifest,
     SampleRecord,
     apply_illumination,
-    write_csv,
 )
 
 DEFAULT_GAIN_SWEEP = (0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6)
@@ -93,13 +92,6 @@ def load_split(
     return load_patches(records, data_dir)
 
 
-def _float32_batch(patches: np.ndarray) -> np.ndarray:
-    """A uint8 patch stack as the float32 batch that training and test-split
-    scoring feed the float64 params; sgd_step widens each float32 gradient
-    exactly."""
-    return images_to_batch(patches).astype(np.float32)
-
-
 def _split_stats(
     xs: np.ndarray, labels: np.ndarray, params: NetworkParams
 ) -> tuple[float, float]:
@@ -134,8 +126,10 @@ def train(
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     train_patches, train_labels = load_split(manifest, data_dir, "train")
     test_patches, test_labels = load_split(manifest, data_dir, "test")
-    train_xs = _float32_batch(train_patches)
-    test_xs = _float32_batch(test_patches)
+    # float32 batches feed the float64 params; sgd_step widens each
+    # float32 gradient exactly
+    train_xs = images_to_batch(train_patches, np.float32)
+    test_xs = images_to_batch(test_patches, np.float32)
 
     rng = Xoshiro256StarStar(seed)
     params = init_params(seed)
@@ -169,10 +163,6 @@ def train(
     return params, metrics
 
 
-def metrics_to_csv(metrics: Sequence[EpochMetrics]) -> str:
-    return write_csv([f.name for f in fields(EpochMetrics)], map(astuple, metrics))
-
-
 def evaluate(
     manifest: SampleManifest, data_dir: str | Path, params: NetworkParams
 ) -> dict:
@@ -180,7 +170,7 @@ def evaluate(
     recall by name, and the confusion matrix (rows true, columns predicted)
     as lists; the record `rcc eval` writes."""
     patches, labels = load_split(manifest, data_dir, "test")
-    predicted = logits(_float32_batch(patches), params).argmax(axis=1)
+    predicted = logits(images_to_batch(patches, np.float32), params).argmax(axis=1)
     n = len(params.class_names)
     confusion = np.zeros((n, n), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
@@ -253,7 +243,7 @@ def compare_robustness(
     for gain in DEFAULT_GAIN_SWEEP:
         spec = IlluminationSpec((gain, gain, gain), 1.0, 0.0)
         lit = apply_illumination(patches, spec, [0] * len(patches))
-        predicted = logits(_float32_batch(lit), params).argmax(axis=1)
+        predicted = logits(images_to_batch(lit, np.float32), params).argmax(axis=1)
         rows.append(
             RobustnessRow(
                 gain=gain,
@@ -262,7 +252,3 @@ def compare_robustness(
             )
         )
     return rows
-
-
-def robustness_to_csv(rows: Sequence[RobustnessRow]) -> str:
-    return write_csv([f.name for f in fields(RobustnessRow)], map(astuple, rows))

@@ -14,6 +14,7 @@ Positions are not pixel values: `cubes.cube_centers` rounds with Python's
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,26 +81,12 @@ def write_ppm(img: Image) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def _read_header_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes], int]:
-    """Read whitespace-separated tokens, skipping # comments to end of line."""
-    tokens: list[bytes] = []
-    i = start
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        if i >= n:
-            raise PpmError("unexpected end of stream in header")
-        j = i
-        while j < n and not data[j : j + 1].isspace() and data[j] != ord("#"):
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
+# One header token after any whitespace and # comments; a bytes pattern's
+# \s is exactly the six bytes bytes.isspace() accepts.  A comment runs to
+# the end of its line: the lookahead keeps a failed match from backtracking
+# into it, which would read its tail as a token and take exponential time
+# over a run of '#'.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
 
 
 def read_ppm(data: bytes) -> Image:
@@ -108,7 +95,13 @@ def read_ppm(data: bytes) -> Image:
         raise PpmError("missing P6 magic number")
     if not (data[2:3].isspace() or data[2:3] == b"#"):  # else "P632 32 255" reads as 32x32
         raise PpmError("missing whitespace after the P6 magic number")
-    tokens, pos = _read_header_tokens(data, 2, 3)
+    tokens, pos = [], 2
+    for _ in range(3):
+        match = _HEADER_TOKEN.match(data, pos)
+        if match is None:
+            raise PpmError("unexpected end of stream in header")
+        tokens.append(match[1])
+        pos = match.end()
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:

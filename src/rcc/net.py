@@ -361,14 +361,15 @@ def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> tuple[np.ndarray, np.ndarr
     return y[0], idx[0]
 
 
-def images_to_batch(cubes: np.ndarray) -> np.ndarray:
+def images_to_batch(cubes: np.ndarray, dtype=np.float64) -> np.ndarray:
     """A (B, 32, 32, 3) uint8 stack of RGB cubes as a (B, 3, 32, 32) batch
-    scaled to [0, 1]."""
+    of `dtype` scaled to [0, 1]; a float32 quotient is the float64 one
+    rounded to float32, since float32 division rounds correctly."""
     if cubes.shape[1:] != (INPUT_SIZE, INPUT_SIZE, 3):
         raise ShapeError(
             f"expected a stack of {INPUT_SIZE}x{INPUT_SIZE} RGB cubes, got shape {cubes.shape}"
         )
-    batch = cubes.astype(np.float64)
+    batch = cubes.astype(dtype)
     batch /= 255.0
     return batch.transpose(0, 3, 1, 2)
 

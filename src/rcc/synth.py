@@ -26,7 +26,7 @@ import csv
 import io
 import math
 import operator
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -348,13 +348,20 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class SceneRecord:
-    """Ground truth for one generated scene."""
+    """Ground truth for one generated scene: the object's box is x, y, w, h."""
 
     filename: str
     class_index: int
     class_name: str
-    rect: BoundRect
+    x: int
+    y: int
+    w: int
+    h: int
     illuminant_name: str
+
+    @property
+    def rect(self) -> BoundRect:
+        return BoundRect(self.x, self.y, self.w, self.h)
 
 
 @dataclass(frozen=True)
@@ -373,47 +380,35 @@ class SampleManifest:
         return tuple(r for r in self.records if r.split == which)
 
 
-# the manifest's columns are SampleRecord's fields, in order
-MANIFEST_COLUMNS = tuple(f.name for f in fields(SampleRecord))
-
-SCENES_COLUMNS = ("filename", "class_index", "class_name", "x", "y", "w", "h",
-                  "illuminant_name")
-
-
-def write_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text: the header `columns`, then one LF-ended line per row.
+def write_csv(record_type: type, rows: Iterable) -> str:
+    """CSV text of a table of `record_type` dataclass records: the header
+    is the type's field names, then one LF-ended line per row of `rows`
+    holding its field values, in field order.
 
     Each field is written as its `str()`, which for a float (numpy's
     included) is the shortest text that reads back as the same value.
     """
+    columns = [f.name for f in fields(record_type)]
+    values = operator.attrgetter(*columns)  # astuple would deep-copy each field
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([str(value) for value in row] for row in rows)
+    writer.writerows([str(value) for value in values(row)] for row in rows)
     return out.getvalue()
 
 
-def manifest_to_csv(manifest: SampleManifest) -> str:
-    rows = map(operator.attrgetter(*MANIFEST_COLUMNS), manifest.records)
-    return write_csv(MANIFEST_COLUMNS, rows)
-
-
-def scenes_to_csv(scenes: tuple[SceneRecord, ...]) -> str:
-    rows = ((s.filename, s.class_index, s.class_name, *astuple(s.rect), s.illuminant_name)
-            for s in scenes)
-    return write_csv(SCENES_COLUMNS, rows)
-
-
 def read_csv(
-    text: str, columns: tuple[str, ...], name: str, parse: Callable[[dict], T]
+    text: str, record_type: type, name: str, parse: Callable[[dict], T]
 ) -> list[tuple[int, T]]:
     """(line number, `parse(row)`) for each row of a CSV text, in file order.
 
-    Raises ValueError unless the header is `columns`, every field fits
+    Raises ValueError unless the header is `record_type`'s field names, as
+    `write_csv` writes it, every field fits
     csv's field size limit and every row has exactly that many fields;
     each error but the header's, and any ValueError from `parse`, names
     the file and the line.
     """
+    columns = tuple(f.name for f in fields(record_type))
     reader = csv.DictReader(io.StringIO(text))
     parsed = []
     try:
@@ -463,13 +458,10 @@ def _sample_record(row: dict) -> SampleRecord:
 
 
 def _scene_record(row: dict) -> SceneRecord:
-    return SceneRecord(
-        filename=row["filename"],
-        class_index=_class_index(row),
-        class_name=row["class_name"],
-        rect=BoundRect(int(row["x"]), int(row["y"]), int(row["w"]), int(row["h"])),
-        illuminant_name=_illuminant(row),
-    )
+    filename, _, name, *box, _ = row.values()
+    index = _class_index(row)
+    rect = BoundRect(*map(int, box))  # a bad box fails as the file is read
+    return SceneRecord(filename, index, name, rect.x, rect.y, rect.w, rect.h, _illuminant(row))
 
 
 def read_manifest(data_dir: str | Path) -> SampleManifest:
@@ -485,9 +477,9 @@ def read_manifest(data_dir: str | Path) -> SampleManifest:
     data_dir = Path(data_dir)
     first_seen: dict[str, str] = {}
 
-    def rows(name, columns, parse):
+    def rows(name, record_type, parse):
         text = (data_dir / name).read_text(encoding="utf-8")
-        parsed = read_csv(text, columns, name, parse)
+        parsed = read_csv(text, record_type, name, parse)
         for line, row in parsed:
             where = f"{name} line {line}"
             if row.filename in first_seen:
@@ -497,10 +489,10 @@ def read_manifest(data_dir: str | Path) -> SampleManifest:
             first_seen[row.filename] = where
         return tuple(row for _, row in parsed)
 
-    records = rows("manifest.csv", MANIFEST_COLUMNS, _sample_record)
+    records = rows("manifest.csv", SampleRecord, _sample_record)
     scenes: tuple[SceneRecord, ...] = ()
     if (data_dir / "scenes.csv").exists():
-        scenes = rows("scenes.csv", SCENES_COLUMNS, _scene_record)
+        scenes = rows("scenes.csv", SceneRecord, _scene_record)
     return SampleManifest(records=records, scenes=scenes)
 
 
@@ -598,14 +590,11 @@ def generate_dataset(
     for s in range(scenes):
         color = COLOR_CLASSES[s % len(COLOR_CLASSES)]
         rng = Xoshiro256StarStar(derive_stream_seed(seed, total + s))
+        rect = _scene_rect(rng, canvas_w, canvas_h)
         scene_records.append(
-            SceneRecord(
-                filename=f"scene_{s:02d}.ppm",
-                class_index=color.index,
-                class_name=color.name,
-                rect=_scene_rect(rng, canvas_w, canvas_h),
-                illuminant_name=ILLUMINANT_CYCLE[s % len(ILLUMINANT_CYCLE)],
-            )
+            SceneRecord(f"scene_{s:02d}.ppm", color.index, color.name,
+                        rect.x, rect.y, rect.w, rect.h,
+                        ILLUMINANT_CYCLE[s % len(ILLUMINANT_CYCLE)])
         )
         scene_seeds.append(rng.next_uint64())
     for block in _blocks(scenes, canvas_w * canvas_h * 3):
@@ -621,8 +610,6 @@ def generate_dataset(
             (out_dir / record.filename).write_bytes(write_ppm(Image(scene)))
 
     manifest = SampleManifest(records=tuple(records), scenes=tuple(scene_records))
-    (out_dir / "manifest.csv").write_text(manifest_to_csv(manifest), encoding="utf-8")
-    (out_dir / "scenes.csv").write_text(
-        scenes_to_csv(manifest.scenes), encoding="utf-8"
-    )
+    (out_dir / "manifest.csv").write_text(write_csv(SampleRecord, records), encoding="utf-8")
+    (out_dir / "scenes.csv").write_text(write_csv(SceneRecord, scene_records), encoding="utf-8")
     return manifest

@@ -18,8 +18,8 @@ from rcc.baseline import (
     count_hsv_hits,
     mean_hsv,
     ranges_from_csv,
-    ranges_to_csv,
 )
+from rcc.synth import write_csv
 
 
 def flat(*colors):
@@ -200,7 +200,7 @@ class TestCsv:
             HsvRange(0, 350.25, 372.5, 0.31, 0.22),
             HsvRange(1, 100.0, 140.0, 0.5, 0.4),
         ] + [HsvRange(i, 10.0 * i, 20.0 * i, 0.1, 0.2) for i in range(2, 6)]
-        parsed = ranges_from_csv(ranges_to_csv(ranges))
+        parsed = ranges_from_csv(write_csv(HsvRange, ranges))
         assert parsed == ranges
 
     def test_header_validated(self):

@@ -40,7 +40,7 @@ import numpy as np
 import pytest
 
 from rcc import cli, segment
-from rcc.baseline import calibrate_ranges, count_hsv_hits, ranges_to_csv
+from rcc.baseline import HsvRange, calibrate_ranges, count_hsv_hits
 from rcc.harness import DEFAULT_GAIN_SWEEP, load_patches
 from rcc.image import read_ppm, write_ppm
 from rcc.net import init_params, save_checkpoint
@@ -52,6 +52,7 @@ from rcc.synth import (
     apply_illumination,
     generate_dataset,
     render_scene,
+    write_csv,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_seed0.sha256"
@@ -170,7 +171,7 @@ def test_init_checkpoint_bytes_match_golden(seed):
 def test_baseline_matches_golden(seed0):
     path, manifest = seed0
     ranges = calibrate_ranges(*load_patches(manifest.split("train"), path))
-    digest = hashlib.sha256(ranges_to_csv(ranges).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(write_csv(HsvRange, ranges).encode("utf-8")).hexdigest()
     assert digest == BASELINE_RANGES_SHA256
     patches, labels = load_patches(manifest.split("test"), path)
     hits = [

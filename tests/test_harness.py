@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcc import baseline as baseline_mod
 from rcc import cli, harness
 from rcc.baseline import HsvRange
 from rcc.image import Image, read_ppm, write_ppm
 from rcc.net import NumericError, init_params, load_checkpoint, save_checkpoint
 from rcc.segment import BoundRect
-from rcc.synth import generate_dataset, read_manifest
+from rcc.synth import generate_dataset, read_manifest, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +114,7 @@ class TestTrain:
 
     def test_metrics_csv_shape(self):
         metrics = [harness.EpochMetrics(1, 1.5, 0.3, 1.6, 0.25)]
-        text = harness.metrics_to_csv(metrics)
+        text = write_csv(harness.EpochMetrics, metrics)
         lines = text.splitlines()
         assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert lines[1].split(",")[0] == "1"
@@ -192,9 +191,7 @@ class TestRobustness:
         assert [r.gain for r in rows] == [0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
 
     def test_csv_header(self):
-        text = harness.robustness_to_csv(
-            [harness.RobustnessRow(1.0, 0.5, 0.25)]
-        )
+        text = write_csv(harness.RobustnessRow, [harness.RobustnessRow(1.0, 0.5, 0.25)])
         assert text.splitlines()[0] == "gain,cnn_acc,hsv_acc"
 
 
@@ -458,7 +455,7 @@ class TestCli:
         ranges = tmp_path / "ranges.csv"
         generate_dataset(data, total=12, train=6, seed=0, scenes=1)
         _overflowing_model(model)
-        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        ranges.write_text(write_csv(HsvRange, WIDE_OPEN_RANGES))
         args = {
             "detect": ["--image", str(data / "scene_00.ppm")],
             "eval": ["--data", str(data), "--report", str(tmp_path / "report.json")],
@@ -479,7 +476,7 @@ class TestCli:
         model = tmp_path / "model.ckpt"
         ranges = tmp_path / "ranges.csv"
         _beyond_float32_model(model)
-        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        ranges.write_text(write_csv(HsvRange, WIDE_OPEN_RANGES))
         args = {
             "detect": ["--image", str(data / "scene_00.ppm")],
             "eval": ["--data", str(data), "--report", str(tmp_path / "report.json")],
@@ -497,7 +494,7 @@ class TestCli:
         report, sweep = tmp_path / "report.json", tmp_path / "sweep.csv"
         ranges = tmp_path / "ranges.csv"
         generate_dataset(data, seed=0, scenes=0)
-        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        ranges.write_text(write_csv(HsvRange, WIDE_OPEN_RANGES))
         for argv in (
             ["train", "--out", str(model), "--metrics", str(metrics), "--epochs", "2"],
             ["eval", "--model", str(model), "--report", str(report)],
@@ -556,7 +553,7 @@ class TestCli:
         ranges = tmp_path / "ranges.csv"
         manifest = generate_dataset(data, total=12, train=6, seed=0, scenes=0)
         model.write_bytes(save_checkpoint(init_params(0)))
-        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        ranges.write_text(write_csv(HsvRange, WIDE_OPEN_RANGES))
         cut = {}
         for name in ("train", "test"):
             cut[name] = manifest.split(name)[-1].filename
@@ -601,10 +598,13 @@ class TestCli:
         ("manifest.csv", 6, "-5", "seed -5 outside [0, 2**64)"),
         ("manifest.csv", 6, str(2**64), f"seed {2**64} outside [0, 2**64)"),
         ("scenes.csv", 7, "moonlight", "unknown illuminant 'moonlight'"),
+        ("scenes.csv", 3, "-1", "box origin (-1, "),
+        ("scenes.csv", 5, "0", "box size 0x"),
         ("manifest.csv", 0, "p" * 131073, "field larger than field limit (131072)"),
         ("scenes.csv", 0, "s" * 131073, "field larger than field limit (131072)"),
     ], ids=["brightness-nan", "brightness-high", "illuminant", "seed-negative",
-            "seed-wide", "scene-illuminant", "huge", "scene-huge"])
+            "seed-wide", "scene-illuminant", "scene-origin", "scene-size", "huge",
+            "scene-huge"])
     def test_bad_manifest_field_is_io_error(
         self, tmp_path, capsys, csv_name, column, value, message
     ):
@@ -613,7 +613,7 @@ class TestCli:
         ranges = tmp_path / "ranges.csv"
         generate_dataset(data, total=12, train=6, seed=0, scenes=1)
         model.write_bytes(save_checkpoint(init_params(0)))
-        ranges.write_text(baseline_mod.ranges_to_csv(WIDE_OPEN_RANGES))
+        ranges.write_text(write_csv(HsvRange, WIDE_OPEN_RANGES))
         path = data / csv_name
         path.write_text(
             "\n".join(_set_field(path.read_text().splitlines(), 2, column, value)) + "\n"

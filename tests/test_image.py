@@ -109,6 +109,25 @@ class TestPpm:
     def test_magic_may_be_followed_by_any_whitespace_or_a_comment(self, sep):
         assert read_ppm(b"P6" + sep + b"1 1 255\n" + bytes(3)).width == 1
 
+    @pytest.mark.parametrize("data", [
+        b"P6\n1 1", b"P6\n1 1 #255", b"P6\n1 1\n#255\n", b"P6 " + b"#" * 64,
+    ], ids=["token", "comment", "comment-line", "hashes"])
+    def test_header_cut_short(self, data):
+        # no token may come out of a comment's tail, and a run of '#' is one comment
+        with pytest.raises(PpmError, match="^unexpected end of stream in header$"):
+            read_ppm(data)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r"])
+    def test_comment_may_follow_a_token_directly(self, end):
+        img = read_ppm(b"P6\n1#c" + end + b"1 255\n" + bytes(3))
+        assert img.width == 1 and img.height == 1
+
+    @pytest.mark.parametrize("data", [b"P6\n1 1 255#c\n" + bytes(3), b"P6\n1 1 255"],
+                             ids=["comment", "end"])
+    def test_maxval_must_be_followed_by_whitespace(self, data):
+        with pytest.raises(PpmError, match="^missing whitespace after maxval$"):
+            read_ppm(data)
+
     def test_non_numeric_header(self):
         with pytest.raises(PpmError, match="^non-numeric header token: "):
             read_ppm(b"P6\nx 1\n255\n" + b"\x00" * 3)

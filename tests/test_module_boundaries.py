@@ -65,6 +65,19 @@ def test_only_synth_imports_csv():
     assert importers == ["synth.py"]
 
 
+def test_only_synth_reads_dataclass_fields():
+    """One module turns a record dataclass into a table: the others write
+    and read theirs through `synth.write_csv` and `synth.read_csv`."""
+    importers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses" and any(
+                a.name in ("fields", "astuple") for a in node.names
+            ):
+                importers.append(path.name)
+    assert importers == ["synth.py"]
+
+
 def test_only_segment_uses_band_rows():
     """One module owns the row-band size: the gray conversion and the blur
     that share it both live in `segment`."""

@@ -578,6 +578,13 @@ class TestForward:
         want = cubes[1].astype(np.float64).transpose(2, 0, 1) / 255.0
         assert xs[1].tobytes() == want.tobytes()
 
+    def test_float32_batch_is_the_float64_one_rounded(self):
+        # every uint8 value, each once per cube stack, in the same memory layout
+        cubes = np.arange(4 * 32 * 32 * 3).astype(np.uint8).reshape(4, 32, 32, 3)
+        xs, want = images_to_batch(cubes, np.float32), images_to_batch(cubes).astype(np.float32)
+        assert xs.dtype == np.float32 and xs.strides == want.strides
+        assert xs.tobytes() == want.tobytes()
+
     def test_wrong_cube_size_rejected(self):
         for shape in ((2, 16, 16, 3), (2, 32, 16, 3), (32, 32, 3)):
             with pytest.raises(ShapeError):

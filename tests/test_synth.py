@@ -36,11 +36,11 @@ from rcc.synth import (
     _spread_picks,
     apply_illumination,
     generate_dataset,
-    manifest_to_csv,
     read_manifest,
     render_patches,
     render_scene,
     render_scenes,
+    write_csv,
 )
 from rcc.segment import BoundRect
 
@@ -571,7 +571,7 @@ class TestManifest:
             SampleRecord("a.ppm", 0, "red", "val", 0.5, "identity", 1)
 
     def test_csv_header(self):
-        text = manifest_to_csv(SampleManifest(records=()))
+        text = write_csv(SampleRecord, ())
         assert text == "filename,class_index,class_name,split,brightness_gain,illuminant_name,seed\n"
         # each field is written as the repr of its Python value, numpy's too
         gains = (0.1 + 0.2, 5e-324, -0.0, 1e16, np.float64(1 / 3))
@@ -579,7 +579,7 @@ class TestManifest:
             SampleRecord(f"{i}.ppm", 0, "red", "test", gain, "identity", 2**64 - 1)
             for i, gain in enumerate(gains)
         )
-        lines = manifest_to_csv(SampleManifest(records=records)).split("\n")
+        lines = write_csv(SampleRecord, records).split("\n")
         assert lines[1:] == [
             ",".join((f"{i}.ppm", "0", "red", "test", repr(float(gain)), "identity",
                       repr(2**64 - 1)))
