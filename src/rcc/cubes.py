@@ -117,7 +117,9 @@ def aggregate_votes(confidences: np.ndarray) -> tuple[int, float]:
         raise ValueError(
             f"expected (9, n_classes) confidences, got {confidences.shape}"
         )
-    if not np.allclose(confidences.sum(axis=1), 1.0, atol=1e-6):
+    # np.allclose(sums, 1.0, atol=1e-6)'s test, whose rtol 1e-5 adds to atol
+    # at 1.0; a NaN sum fails it
+    if not (np.abs(confidences.sum(axis=1) - 1.0) <= 1e-6 + 1e-5).all():
         raise ValueError("each confidence vector must sum to 1")
     votes = np.bincount(confidences.argmax(axis=1), minlength=confidences.shape[1])
     means = confidences.mean(axis=0)

@@ -15,12 +15,14 @@ float64; a float32 gradient widens exactly in `sgd_step`.
 `LAYER_TABLE` is the only description of that architecture: params,
 init and checkpoints are checked against or built from it, and any layer
 of another kind, shape or padding is rejected.  Every pass takes a whole
-batch in layout (batch, channels, height, width); `conv2d_forward` and
-`maxpool_forward` are one-sample views of the batched conv and pool that
-tests use as oracles, on any filter shape and padding.  Checkpoints are a
-small binary format (magic "RCC1") holding each layer's kind and
-dimensions, which must be the table's, and raw little-endian float64
-tensors; round-trips are bit-exact.
+batch in layout (batch, channels, height, width), and each conv stage
+takes its ReLU after the pool, on a quarter of the values, with the
+bytes of ReLU then pool (`_forward` says why).  Checkpoints are a small
+binary format (magic "RCC1") holding each layer's kind and dimensions,
+which must be the table's, and raw little-endian float64 tensors;
+round-trips are bit-exact.  A checkpoint loads into one immutable
+buffer, and its layers are views of it: layer tensors are read-only, and
+a layer copies any input that some caller could still write to.
 """
 
 from __future__ import annotations
@@ -55,10 +57,24 @@ class CheckpointError(ValueError):
 
 
 def _frozen_f64(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    """`values` as a read-only float64 array that no caller can write to.
+    Only a contiguous float64 array that is read-only all the way down
+    its `base` chain to an immutable `bytes` object, as a checkpoint's
+    tensors are, is kept uncopied: an array that owns its memory can be
+    made writable again, and a read-only view can share memory with a
+    writable array."""
+    base = values
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    arr = values
+    if not (
+        type(arr) is np.ndarray and isinstance(base, bytes)
+        and arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.aligned
+    ):
+        arr = np.array(values, dtype=np.float64)
+        arr.setflags(write=False)
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
-    arr.setflags(write=False)
     return arr
 
 
@@ -106,17 +122,6 @@ class FcLayerParams:
 
     def __post_init__(self):
         _freeze_tensors(self, 2)
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    """Non-overlapping max pooling window; stride equals the window."""
-
-    k: int = 2
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"pool window must be >= 1, got {self.k}")
 
 
 # The architecture in forward order: layer name, kind and weight shape.
@@ -342,24 +347,7 @@ def mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one-sample oracles and the batch API
-
-def conv2d_forward(x: np.ndarray, p: ConvLayerParams) -> np.ndarray:
-    """Cross-correlate one (in_ch, H, W) tensor with the layer's filters."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"expected (channels, H, W), got shape {x.shape}")
-    return _conv_batch(x[None], p.filters, p.bias, p.padding)[0]
-
-
-def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Block maxima of one (C, H, W) tensor plus in-block argmax indices."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"expected (channels, H, W), got shape {x.shape}")
-    y, idx = _pool_batch(x[None], spec.k)
-    return y[0], idx[0]
-
+# the batch API
 
 def images_to_batch(cubes: np.ndarray, dtype=np.float64) -> np.ndarray:
     """A (B, 32, 32, 3) uint8 stack of RGB cubes as a (B, 3, 32, 32) batch
@@ -390,6 +378,16 @@ def _forward(
     conv, the pool argmax.  An eval-only pass computes no argmax and runs
     the conv stages in blocks of _EVAL_BLOCK samples; the fc layers always
     see the whole batch, since a GEMM's bytes depend on its row count.
+
+    A conv stage pools its pre-activation z and then takes the ReLU, in
+    place, on a quarter of the values, with the bytes of ReLU then pool.
+    Max commutes with the monotone ReLU, and np.maximum(v, 0.0) is +0.0
+    for every v <= 0, -0.0 included.  Where a block's maximum is > 0 its
+    first maximum is the same entry either way.  Where it is <= 0 (or
+    NaN) the argmax may now pick another entry, but backward's mask
+    `next input > 0` is false there, so g is dy * 0, and the pool backward
+    writes that same value, g * 1 or g * 0, at every entry of the block,
+    whichever entry won: every gradient keeps its bytes too.
     """
     last = len(params.layers) - 1
     if cache is None and start < _CONV_LAYERS < stop:
@@ -408,8 +406,8 @@ def _forward(
         bias = bias.astype(x.dtype, copy=False)
         if isinstance(layer, ConvLayerParams):
             z = _conv_batch(x, weight, bias, layer.padding)
-            a = np.maximum(z, 0.0)
-            y, idx = _pool_batch(a, POOL_WINDOW, with_idx=cache is not None)
+            y, idx = _pool_batch(z, POOL_WINDOW, with_idx=cache is not None)
+            np.maximum(y, 0.0, out=y)  # the ReLU, after the pool: see above
         else:
             x = x.reshape(len(x), math.prod(x.shape[1:]))
             z = _fc_batch(x, weight, bias)
@@ -553,19 +551,25 @@ def load_checkpoint(data: bytes) -> NetworkParams:
     """Parse checkpoint bytes back into NetworkParams, bit-exactly; raises
     CheckpointError unless every layer header is its LAYER_TABLE row's,
     and NumericError if a tensor overflows float32, in which eval and
-    compare score, so that no command scores a checkpoint another rejects."""
+    compare score, so that no command scores a checkpoint another rejects.
+
+    The tensors are copied once, into one immutable `bytes` buffer, and the
+    layers keep read-only float64 views of it, uncopied.  A header or
+    truncation fault is raised once the layers before it are built, so
+    that a non-finite tensor among them is named first."""
+    view = memoryview(data)
     pos = 0
 
-    def take(count: int) -> bytes:
+    def take(count: int) -> memoryview:
         nonlocal pos
         if pos + count > len(data):
             raise CheckpointError(
                 f"needed {count} bytes at offset {pos}, stream has {len(data) - pos}"
             )
         pos += count
-        return data[pos - count : pos]
+        return view[pos - count : pos]
 
-    magic = take(len(CHECKPOINT_MAGIC))
+    magic = bytes(take(len(CHECKPOINT_MAGIC)))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
     (version,) = struct.unpack("<I", take(4))
@@ -574,28 +578,41 @@ def load_checkpoint(data: bytes) -> NetworkParams:
     (count,) = struct.unpack("<I", take(4))
     if count != len(LAYER_TABLE):
         raise CheckpointError(f"checkpoint has {count} layers, not {len(LAYER_TABLE)}")
-    layers: list[Layer] = []
+    spans, fault = [], None  # each layer's weight, then its bias
     for name, kind, shape in LAYER_TABLE:
         header = _layer_header(kind, shape)
-        if take(len(header)) != header:
-            raise CheckpointError(
-                f"{name} kind or dimensions differ from the fixed architecture's {shape}"
-            )
-        weight = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-        bias = np.frombuffer(take(8 * shape[0]), dtype="<f8")
         try:
-            layers.append(kind(weight, bias))
+            if take(len(header)) != header:
+                raise CheckpointError(
+                    f"{name} kind or dimensions differ from the fixed architecture's {shape}"
+                )
+            spans.append(take(8 * math.prod(shape)))
+            spans.append(take(8 * shape[0]))
+        except CheckpointError as exc:
+            fault = exc
+            break
+    values = np.frombuffer(b"".join(spans), dtype="<f8")
+    layers: list[Layer] = []
+    start = 0
+    for name, kind, shape in LAYER_TABLE[: len(spans) // 2]:
+        stop = start + math.prod(shape)
+        try:
+            layers.append(kind(values[start:stop].reshape(shape), values[stop : stop + shape[0]]))
         except ValueError as exc:
             raise CheckpointError(f"{name}: {exc}") from exc
+        start = stop + shape[0]
+    if fault is not None:
+        raise fault
     if pos != len(data):
         raise CheckpointError(f"{len(data) - pos} trailing bytes")
     params = NetworkParams(*layers)
     with np.errstate(over="ignore"):
-        for name, tensor in params.tensors():
-            if not np.isfinite(tensor.astype(np.float32)).all():
-                raise NumericError(
-                    f"{name} overflows float32, so a forward pass would make non-finite logits"
-                )
+        if not np.isfinite(values.astype(np.float32)).all():
+            for name, tensor in params.tensors():
+                if not np.isfinite(tensor.astype(np.float32)).all():
+                    raise NumericError(
+                        f"{name} overflows float32, so a forward pass would make non-finite logits"
+                    )
     return params
 
 

@@ -13,12 +13,15 @@ sigma 1.4) in any summation order, and redoes in float64 only the pixels
 that lie within twice that of a rounding tie.  The gray conversion and
 the blur run in row bands of BAND_ROWS, whose buffers stay in cache.  The
 threshold's box sums are one whole-image pass, in int16 when they cannot
-overflow it: bands were slower.  The stages hand on plain 2-d arrays,
+overflow it: bands were slower.  The blur's taps and band matrix are
+built once per sigma, read-only, and the blur, threshold and Sobel pad
+their edges by slice assignment.  The stages hand on plain 2-d arrays,
 uint8 levels or bool masks; only label_components reads a BinaryMask.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,6 +110,20 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _edge_pad(values: np.ndarray, radius: int, dtype) -> np.ndarray:
+    """`values` as `dtype`, padded by `radius` on every side with copies of
+    its edge values: np.pad's "edge" mode, by slice assignment."""
+    h, w = values.shape
+    padded = np.empty((h + 2 * radius, w + 2 * radius), dtype=dtype)
+    middle = padded[radius : radius + h]
+    middle[:, radius : radius + w] = values
+    middle[:, :radius] = middle[:, radius : radius + 1]
+    middle[:, radius + w :] = middle[:, radius + w - 1 : radius + w]
+    padded[:radius] = middle[0]
+    padded[radius + h :] = middle[-1]
+    return padded
+
+
 def _separable_sums(rows, kernel, acc, tmp, out):
     """Write into `out` (n, ..., w) the vertical pass of the horizontal pass
     of `rows` (n + 2r, ..., w + 2r), r the kernel's radius.  Each pass adds
@@ -154,6 +171,17 @@ def _float32_sums(rows, across, horizontal, out):
     return np.matmul(across[: n + reach, :n].T, horizontal, out=out)
 
 
+@functools.lru_cache(maxsize=8)
+def _blur_constants(sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """gaussian_kernel(sigma) and the float32 band matrix of its taps for
+    BAND_ROWS outputs, both read-only, built once per sigma."""
+    kernel = gaussian_kernel(sigma)
+    across = _band_matrix(kernel.astype(np.float32), BAND_ROWS)
+    kernel.setflags(write=False)
+    across.setflags(write=False)
+    return kernel, across
+
+
 # A band whose unsure pixels are more than this share of it is blurred
 # again whole in float64: past it, the float32 pass and the redo of each
 # unsure pixel would cost more than the float64 pass alone.  A 64x640
@@ -198,13 +226,12 @@ def gaussian_blur(gray: np.ndarray, sigma: float) -> np.ndarray:
     run in float64 alone, so no image costs much more than the float64
     blur does.
     """
-    kernel = gaussian_kernel(sigma)
+    kernel, across = _blur_constants(sigma)
     size = len(kernel)
-    across = _band_matrix(kernel.astype(np.float32), BAND_ROWS)
     slack = 2 * _float32_error_bound(size)
     radius = size // 2
     h, w = gray.shape
-    padded = np.pad(gray, radius, mode="edge")
+    padded = _edge_pad(gray, radius, gray.dtype)
     blurred = np.empty((h, w), dtype=np.uint8)
     band = min(BAND_ROWS, h)
     rows32 = np.empty((band + 2 * radius, w + 2 * radius), dtype=np.float32)
@@ -269,7 +296,7 @@ def adaptive_threshold(gray: np.ndarray, window: int, c: float) -> BinaryMask:
     dtype = np.int16 if area * (255 + abs(int(c))) < 2**15 else np.int32
     radius = window // 2
     h, w = gray.shape
-    padded = np.pad(gray.astype(dtype), radius, mode="edge")
+    padded = _edge_pad(gray, radius, dtype)
     column_sums = padded[:h].copy()
     for k in range(1, window):
         column_sums += padded[k : k + h]
@@ -290,7 +317,7 @@ def sobel_magnitude(gray: np.ndarray) -> np.ndarray:
     """
     if min(gray.shape) < 3:
         raise ValueError(f"image {gray.shape[1]}x{gray.shape[0]} is smaller than 3x3")
-    padded = np.pad(gray, 1, mode="edge").astype(np.int32)
+    padded = _edge_pad(gray, 1, np.int32)
     down = padded[:-2] + 2 * padded[1:-1] + padded[2:]
     gx = down[:, 2:] - down[:, :-2]
     across = padded[:, :-2] + 2 * padded[:, 1:-1] + padded[:, 2:]

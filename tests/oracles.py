@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from rcc import net
+
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
 except ImportError:  # numpy 1.x
@@ -67,3 +69,71 @@ def run_tests_off_avx512(tests):
     targets = " ".join(AVX512_TARGETS)
     return run_tests(["-c", _OFF_AVX512_SCRIPT, targets], tests,
                      {"NPY_DISABLE_CPU_FEATURES": targets})
+
+
+def conv2d_forward(x, p):
+    """Cross-correlate one (in_ch, H, W) tensor with the filters of the
+    ConvLayerParams `p`: a one-sample view of the batched conv."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise net.ShapeError(f"expected (channels, H, W), got shape {x.shape}")
+    return net._conv_batch(x[None], p.filters, p.bias, p.padding)[0]
+
+
+def maxpool_forward(x, k):
+    """Block maxima of one (C, H, W) tensor over k x k blocks, plus each
+    block's argmax: a one-sample view of the batched pool."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise net.ShapeError(f"expected (channels, H, W), got shape {x.shape}")
+    y, idx = net._pool_batch(x[None], k)
+    return y[0], idx[0]
+
+
+def relu_then_pool_forward(params, x, cache):
+    """The logits of `net._forward` with each conv stage's ReLU taken before
+    its pool, over the whole batch in one pass; appends to `cache` each
+    layer's (input, pre-activation, argmax of the pooled ReLU output)."""
+    last = len(params.layers) - 1
+    for i, (_, layer) in enumerate(params.layers):
+        weight = getattr(layer, layer.weight_name).astype(x.dtype)
+        bias = layer.bias.astype(x.dtype)
+        if isinstance(layer, net.ConvLayerParams):
+            z = net._conv_batch(x, weight, bias, layer.padding)
+            y, idx = net._pool_batch(np.maximum(z, 0.0), net.POOL_WINDOW)
+        else:
+            x = x.reshape(len(x), -1)
+            z = net._fc_batch(x, weight, bias)
+            y, idx = (np.maximum(z, 0.0) if i < last else z), None
+        cache.append((x, z, idx))
+        x = y
+    return x
+
+
+def relu_then_pool_backward(params, cache, logits, labels):
+    """Mean-loss gradients from `relu_then_pool_forward`'s cache by the
+    textbook chain rule: each pool sends dy to its block's argmax, and
+    each ReLU masks the result with z > 0 at full size."""
+    batch = len(labels)
+    dy = net._softmax_batch(logits)
+    dy[np.arange(batch), labels] -= 1.0
+    dy /= batch
+    grads = {}
+    last = len(params.layers) - 1
+    for i in range(last, -1, -1):
+        name, layer = params.layers[i]
+        x, z, idx = cache[i]
+        weight = getattr(layer, layer.weight_name).astype(dy.dtype)
+        if isinstance(layer, net.ConvLayerParams):
+            da = net._pool_backward_batch(dy.reshape(idx.shape), idx, z.shape, net.POOL_WINDOW)
+            d_weight, d_bias, dy = net._conv_backward_batch(
+                da * (z > 0), x, weight, layer.padding, input_grad=i > 0
+            )
+        else:
+            if i < last:
+                dy = dy * (z > 0)
+            d_weight, d_bias = dy.T @ x, dy.sum(axis=0)
+            dy = dy @ weight
+        grads[f"{name}.{layer.weight_name}"] = d_weight
+        grads[f"{name}.bias"] = d_bias
+    return grads

@@ -212,3 +212,33 @@ class TestVotes:
         probs[3] *= 2
         with pytest.raises(ValueError):
             aggregate_votes(probs)
+
+    @pytest.mark.parametrize("delta, accepted", [
+        (1.05e-5, True), (-1.05e-5, True), (1.2e-5, False), (-1.2e-5, False),
+        (np.nan, False), (np.inf, False),
+    ])
+    def test_row_sum_tolerance(self, delta, accepted):
+        """Row sums within 1e-6 + 1e-5 of 1 pass, np.allclose's test at
+        atol 1e-6 and its default rtol 1e-5; a NaN row fails."""
+        probs = one_hot_rows([0] * 9)
+        probs[4, 1] = delta
+        if accepted:
+            assert aggregate_votes(probs)[0] == 0
+        else:
+            with pytest.raises(ValueError, match="must sum to 1"):
+                aggregate_votes(probs)
+
+    def test_row_sum_tolerance_agrees_with_allclose_at_its_edge(self):
+        edge = 1e-6 + 1e-5
+        for bound in (1.0 + edge, 1.0 - edge):
+            for steps in range(-40, 41):
+                total = bound + steps * np.spacing(bound)
+                probs = one_hot_rows([0] * 9)
+                probs[4] = [total, 0, 0, 0, 0, 0]
+                want = np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+                try:
+                    aggregate_votes(probs)
+                except ValueError:
+                    assert not want, total
+                else:
+                    assert want, total

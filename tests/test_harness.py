@@ -486,6 +486,27 @@ class TestCli:
         assert cli.main([command, "--model", str(model)] + args) == 4
         assert "non-finite logits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, code, named", [
+        ("nan", 3, "conv2: filters contains non-finite values"),
+        ("beyond-float32", 4, "fc3.weights overflows float32"),
+    ])
+    def test_bad_tensor_is_named_by_detect(self, tiny_dataset, tmp_path, capsys,
+                                           fault, code, named):
+        data, _ = tiny_dataset
+        model = tmp_path / "model.ckpt"
+        if fault == "nan":
+            params = init_params(0)
+            tensors = dict(params.tensors())
+            blob = bytearray(save_checkpoint(params))
+            at = blob.index(tensors["conv2.filters"].astype("<f8").tobytes())
+            blob[at + 8 : at + 16] = np.float64(np.nan).tobytes()
+            model.write_bytes(bytes(blob))
+        else:
+            _beyond_float32_model(model)
+        argv = ["detect", "--model", str(model), "--image", str(data / "scene_00.ppm")]
+        assert cli.main(argv) == code
+        assert named in capsys.readouterr().err
+
     def test_every_test_split_score_agrees(self, tmp_path, capsys):
         # training re-evaluates the test split each epoch; eval and the
         # compare sweep's gain 1.0 score it again and must agree exactly

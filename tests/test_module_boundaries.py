@@ -104,10 +104,10 @@ def test_only_load_split_calls_load_patches():
     assert callers == ["harness.py: load_split"]
 
 
-# One-sample views of batched code that only callers outside the package
-# use: the conv and pool, as oracles for the acceptance checks, and
-# `render_scene`, which perfbench's set-up and the golden test call.
-ORACLES = {"conv2d_forward", "maxpool_forward", "render_scene"}
+# Public code that only callers outside the package use: `render_scene`,
+# a one-sample view of the batched render, which perfbench's set-up and
+# the golden test call.
+ORACLES = {"render_scene"}
 
 
 def _unused_public_names(paths) -> list[str]:

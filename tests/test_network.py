@@ -18,21 +18,25 @@ from rcc.net import (
     CheckpointError,
     ConvLayerParams,
     FcLayerParams,
-    PoolSpec,
     ShapeError,
-    conv2d_forward,
     gradcheck_batch,
     images_to_batch,
     init_params,
     load_checkpoint,
     loss_and_gradients,
-    maxpool_forward,
     mean_cross_entropy,
     predict_probabilities,
     save_checkpoint,
     sgd_step,
 )
 from rcc.rng import Xoshiro256StarStar
+
+from oracles import (
+    conv2d_forward,
+    maxpool_forward,
+    relu_then_pool_backward,
+    relu_then_pool_forward,
+)
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
@@ -260,6 +264,35 @@ class TestPrimitivesMatchOracles:
         assert out.shape == (batch, len(CLASS_NAMES))
         assert out.tobytes() == cached.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["normal", "ties", "zeros"])
+    @pytest.mark.parametrize("batch", [1, 9, 16, 17], ids=lambda batch: f"b{batch}")
+    def test_relu_after_pool_matches_relu_then_pool(self, batch, kind, dtype):
+        """The ReLU after the pool gives the bytes of ReLU then pool: every
+        layer's input, the logits of the eval-only and the cached pass, and
+        every gradient.  Every kind draws thousands of blocks whose maximum
+        is <= 0, where the two orders' argmaxes differ."""
+        rng = np.random.default_rng(batch * 7 + len(kind))
+        params = init_params(0)
+        params = params.replace_tensors({
+            name: _draw(rng, t.shape, kind) * math.sqrt(2.0 / math.prod(t.shape[1:]))
+            for name, t in params.tensors()
+        })
+        xs = _draw(rng, (batch, 3, 32, 32), kind).astype(dtype)
+        labels = rng.integers(0, len(CLASS_NAMES), batch)
+        ref_cache, cache = [], []
+        want = relu_then_pool_forward(params, xs, ref_cache)
+        got = net._forward(params, xs, cache=cache)
+        for i, ((x, z, _), (want_x, want_z, _)) in enumerate(zip(cache, ref_cache)):
+            assert x.tobytes() == want_x.tobytes() and z.tobytes() == want_z.tobytes(), i
+        assert got.tobytes() == want.tobytes()
+        assert net.logits(xs, params).tobytes() == want.tobytes()
+        want_grads = relu_then_pool_backward(params, ref_cache, want, labels)
+        grads = net._backward(params, cache, got, labels)
+        assert grads.keys() == want_grads.keys() and len(grads) == 12
+        for name, grad in grads.items():
+            assert grad.tobytes() == want_grads[name].tobytes(), name
+
 
 # Trains two steps and takes batch-200 logits with the program, then with the
 # four oracles patched in; prints both digests.
@@ -318,8 +351,9 @@ def test_training_and_logits_bytes_match_oracles_under_blas_kernel(coretype):
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
-    src = Path(net.__file__).resolve().parents[1]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    # the package, and this directory, whose `oracles` this file imports
+    paths = (Path(net.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (*map(str, paths), env.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-c", _KERNEL_SCRIPT, __file__],
         env=env, check=True, capture_output=True, text=True, timeout=120,
@@ -372,19 +406,19 @@ class TestConv:
 class TestPool:
     def test_hand_case_ascending_ramp(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-        y, idx = maxpool_forward(x, PoolSpec(2))
+        y, idx = maxpool_forward(x, 2)
         assert y[0].tolist() == [[5, 7], [13, 15]]
         assert (idx == 3).all()  # bottom-right of each block
 
     def test_tie_takes_first_in_row_major_order(self):
         x = np.zeros((1, 2, 2))
-        _, idx = maxpool_forward(x, PoolSpec(2))
+        _, idx = maxpool_forward(x, 2)
         assert idx[0, 0, 0] == 0
 
     def test_matches_blockwise_oracle(self):
         rng = Xoshiro256StarStar(201)
         x = rng.normals(3 * 8 * 6).reshape(3, 8, 6)
-        y, _ = maxpool_forward(x, PoolSpec(2))
+        y, _ = maxpool_forward(x, 2)
         for c in range(3):
             for by in range(4):
                 for bx in range(3):
@@ -393,7 +427,7 @@ class TestPool:
 
     def test_indivisible_input_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool_forward(np.zeros((1, 5, 4)), PoolSpec(2))
+            maxpool_forward(np.zeros((1, 5, 4)), 2)
 
 
 def _random_inputs(batch, seed=205):
@@ -679,6 +713,88 @@ class TestCheckpoint:
         assert _raw_checkpoint() == save_checkpoint(init_params(0))
         with pytest.raises(CheckpointError, match="conv1 kind or dimensions"):
             load_checkpoint(_raw_checkpoint(conv1_shape, paddings))
+
+
+class TestTensorOwnership:
+    """A layer's tensors are read-only, and no caller can write to them
+    through an array it passed in; checkpoint tensors skip that copy."""
+
+    def test_writable_input_is_copied(self):
+        weights, bias = np.ones((2, 3)), np.zeros(2)
+        layer = FcLayerParams(weights, bias)
+        weights[0, 0], bias[1] = 5.0, 7.0
+        assert layer.weights[0, 0] == 1.0 and layer.bias[1] == 0.0
+        assert not layer.weights.flags.writeable and not layer.bias.flags.writeable
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        weights = np.ones((2, 3))
+        view = weights.view()
+        view.setflags(write=False)
+        layer = FcLayerParams(view, np.zeros(2))
+        assert not np.shares_memory(layer.weights, weights)
+        weights[0, 0] = 5.0
+        assert layer.weights[0, 0] == 1.0
+
+    def test_read_only_view_of_bytes_is_kept(self):
+        frozen = np.frombuffer(np.ones(6).tobytes()).reshape(2, 3)
+        layer = FcLayerParams(frozen[:1], np.frombuffer(np.zeros(1).tobytes()))
+        assert np.shares_memory(layer.weights, frozen)
+        # the same values over a writable buffer are copied
+        data = bytearray(np.ones(3).tobytes())
+        over = np.frombuffer(data).reshape(1, 3)
+        over.setflags(write=False)
+        assert not np.shares_memory(FcLayerParams(over, np.zeros(1)).weights, over)
+
+    def test_read_only_array_owning_its_memory_is_copied(self):
+        """Its owner can make it writable again, so it is no frozen buffer."""
+        weights = np.ones((2, 3))
+        weights.setflags(write=False)
+        layer = FcLayerParams(weights, np.zeros(2))
+        assert not np.shares_memory(layer.weights, weights)
+        weights.setflags(write=True)
+        weights[0, 0] = 5.0
+        assert layer.weights[0, 0] == 1.0
+
+    def test_checkpoint_tensors_are_read_only_views_of_one_buffer(self):
+        blob = bytearray(save_checkpoint(init_params(0)))
+        params = load_checkpoint(blob)
+        bases = {id(tensor.base) for _, tensor in params.tensors()}
+        assert len(bases) == 1
+        for name, tensor in params.tensors():
+            assert not tensor.flags.writeable, name
+            assert tensor.dtype == np.float64 and tensor.flags.c_contiguous, name
+            assert tensor.flags.aligned, name
+            with pytest.raises(ValueError):
+                tensor.setflags(write=True)
+        blob[100:108] = np.float64(9.0).tobytes()  # the caller's bytes change...
+        assert save_checkpoint(params) == save_checkpoint(init_params(0))  # ...not the params
+
+    def test_non_finite_tensor_is_named_before_a_later_fault(self):
+        """A NaN in fc2's weights names fc2, also when the stream is cut
+        short or carries a bad header after it, as when each layer was
+        built as it was read."""
+        blob = bytearray(save_checkpoint(init_params(0)))
+        fc2 = _tensor_offset("fc2")
+        blob[fc2 : fc2 + 8] = np.float64(np.nan).tobytes()
+        fc3 = _tensor_offset("fc3") - 9  # fc3's header
+        for bad in (blob, blob[:-1], blob[:fc3] + b"\x07" + blob[fc3 + 1 :]):
+            with pytest.raises(CheckpointError, match="^fc2: weights contains non-finite values$"):
+                load_checkpoint(bytes(bad))
+        blob[fc3] = 7
+        blob[fc2 : fc2 + 8] = np.float64(0.0).tobytes()
+        with pytest.raises(CheckpointError, match="^fc3 kind or dimensions differ"):
+            load_checkpoint(bytes(blob))
+
+
+def _tensor_offset(layer: str) -> int:
+    """Where `layer`'s weights start in a checkpoint."""
+    pos = 12
+    for name, kind, shape in net.LAYER_TABLE:
+        pos += 21 if kind is ConvLayerParams else 9
+        if name == layer:
+            return pos
+        pos += 8 * (math.prod(shape) + shape[0])
+    raise KeyError(layer)
 
 
 class TestParamValidation:
