@@ -34,7 +34,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .rng import Xoshiro256StarStar, derive_stream_seed
+from .rng import Xoshiro256StarStar, box_muller, derive_stream_seed
 
 CLASS_NAMES = ("red", "orange", "yellow", "green", "blue", "purple")
 INPUT_SIZE = 32
@@ -261,7 +261,8 @@ def _conv_backward_batch(dy, x, filters, pad, input_grad):
     b, c, h, w = x.shape
     out_ch, _, m, n = filters.shape
     h_out, w_out = dy.shape[2], dy.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     span = h_out * w_out
     dy_flat = dy.reshape(b, out_ch, span)
     d_filters = np.zeros_like(filters)
@@ -513,12 +514,19 @@ def sgd_step(
 
 
 def init_params(seed: int) -> NetworkParams:
-    """He-normal weights (std = sqrt(2/fan_in)), zero biases, fixed draw order."""
-    rng = Xoshiro256StarStar(seed)
-    layers = {}
-    for name, kind, shape in LAYER_TABLE:
+    """He-normal weights (std = sqrt(2/fan_in)), zero biases, fixed draw order.
+
+    Each layer takes the draws of `Xoshiro256StarStar.normals` in table
+    order, all from one fill: an even number of uniforms per layer, run
+    through Box-Muller slice by slice."""
+    counts = [math.prod(shape) for _, _, shape in LAYER_TABLE]
+    u = Xoshiro256StarStar(seed).doubles(sum(2 * -(-count // 2) for count in counts))
+    layers, start = {}, 0
+    for (name, kind, shape), count in zip(LAYER_TABLE, counts):
+        stop = start + 2 * -(-count // 2)
+        weight = box_muller(u[start:stop])[:count].reshape(shape)
+        start = stop
         fan_in = math.prod(shape[1:])
-        weight = rng.normals(math.prod(shape)).reshape(shape)
         layers[name] = kind(weight * math.sqrt(2.0 / fan_in), np.zeros(shape[0]))
     return NetworkParams(**layers)
 

@@ -26,23 +26,31 @@ takes n start states and a count and returns n rows of `count` draws plus
 the n states after them.  `Xoshiro256StarStar.fill_uint64` is the n = 1
 case and `fill_streams` the batch of fresh seeded streams.  The state step
 is linear over GF(2) (Blackman & Vigna, 2018, "Scrambled linear
-pseudorandom number generators"), so jumping a state n steps ahead is a
-product with the 256x256 bit matrix ``T**n``.  Each stream's draws are
-split into lanes of L consecutive draws, L = ``_LANE_STEPS * 2**k``: lane
-j starts ``j * L`` steps into its stream.  The lane start states come by
-doubling: with lanes 0..m-1 of every stream known, lanes m..2m-1 are one
-float32 matrix product with the cached ``T**(L * m)``, reduced mod 2.
+pseudorandom number generators"), so jumping a state n steps ahead applies
+a fixed linear map ``T**n`` to its 256 bits.  A jump reads the state as 32
+bytes and XORs 32 entries of a (32, 256, 4) uint64 table, the method of
+Four Russians (Arlazarov, Dinic, Kronrod & Faradzev, 1970): entry [p, v]
+is the XOR of the jumped images of the bits set in byte p when it holds v.
+Each stream's draws are split into lanes of L consecutive draws, L =
+``_LANE_STEPS * 2**k``: lane j starts ``j * L`` steps into its stream.
+The lane start states come by doubling: with lanes 0..m-1 of every stream
+known, lanes m..2m-1 are their states jumped through the table of
+``T**(L * m)``.  Each level's table is built on first use: level 0 from
+the 256 single-bit states stepped `_LANE_STEPS` times, and level i+1 from
+level i's images of them jumped once more through level i's table, which
+squares the jump.
 All lanes then step L times as uint64 vectors, `_SCRAMBLE_ROWS` steps at
 a time: each block's ``s1`` values are scrambled and written to their
 lanes' places in the output as the lanes step, so no history of the whole
 fill is kept.  Each stream's state after the fill is taken from its last lane.
 
-The lane length trades the Python cost of each step against the matrix
-cost of each lane: a fill takes the shortest L whose lane count over all
-its streams is at most `_LANE_RATIO` times L (a single 36865-draw stream
-gets L = 96; 250 streams of 3073 draws get L = 384).  A fill runs all its
-lanes in one pass, and fills of fewer than `_LANE_MIN_COUNT` draws in all
-use the scalar step, which costs less than the fixed overhead of the lanes.
+The lane length trades the Python cost of each step against the cost of
+each lane's jump and steps: a fill takes the shortest L whose lane count
+over all its streams is at most `_LANE_RATIO` times L (a 640x480 image's
+921,600 noise draws get L = 192, as do 250 streams of 3073 draws; 5
+streams of 36,864 draws get L = 96).  A fill runs all its lanes in one
+pass, and fills of fewer than `_LANE_MIN_COUNT` draws in all use the
+scalar step, which costs less than the fixed overhead of the lanes.
 Either way each row is the stream that `next_uint64` draws, bit for bit.
 The uniform and bounded-integer transforms are functions of raw draws
 along the last axis, and Box-Muller a function of the uniforms; the
@@ -74,14 +82,12 @@ def splitmix64(seed: int, count: int) -> list[int]:
 
 
 _LANE_STEPS = 48  # draws per lane at the shortest lane length
-_LANE_RATIO = 8  # a fill takes the shortest lanes with at most this many lanes per step
+_LANE_RATIO = 26  # a fill takes the shortest lanes with at most this many lanes per step
 _LANE_MIN_COUNT = 512  # fills of fewer draws take the scalar step
 _SCRAMBLE_ROWS = 16  # lane steps scrambled and written out at a time
-_STATE_BITS = 256
 
-# _jumps[i] is T**(_LANE_STEPS * 2**i) in row form (a state's bit row times
-# it is the state that many steps on), as float32 0/1; built on first use.
-_jumps: list[np.ndarray] = []
+# _tables[i] is the `_byte_table` of T**(_LANE_STEPS * 2**i); built on first use.
+_tables: list[np.ndarray] = []
 
 
 def _seed_state(seed: int) -> list[int]:
@@ -124,41 +130,41 @@ def _step_lanes(s: np.ndarray, steps: int, history: np.ndarray | None = None) ->
         np.bitwise_or(s3 << np.uint64(45), s3 >> np.uint64(19), out=s3)
 
 
-def _words_to_bits(words: np.ndarray) -> np.ndarray:
-    """(lanes, 4) state words to (lanes, 256) bit rows; bit 64*w + b is
-    bit b of word w."""
-    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")
+def _byte_table(images: np.ndarray) -> np.ndarray:
+    """The (32, 256, 4) jump table of a linear map, from the (256, 4) images
+    of its basis states, row 8p + j being the state whose byte p is 1 << j:
+    entry [p, v] is the XOR of the images of the bits set in byte p = v."""
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    images = images.reshape(32, 8, 1, 4)
+    for j in range(8):
+        np.bitwise_xor(table[:, : 1 << j], images[:, j], out=table[:, 1 << j : 2 << j])
+    return table
 
 
-def _bits_to_words(bits: np.ndarray) -> np.ndarray:
-    """Inverse of `_words_to_bits`, as (4, lanes) uint64 rows s0..s3."""
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(packed.view("<u8").T, dtype=np.uint64)
-
-
-def _mod2_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The 0/1 product of a and b mod 2, written into the float32 `out`."""
-    # Sums of at most 256 ones are exact in float32.  Past 2**23 the ulp is
-    # 1, so sum + 2**23 is exact and its lowest mantissa bit is the sum's
-    # parity, which becomes 0.0 or 1.0 (bits 0x3F800000) in place.
-    np.matmul(a, b, out=out)
-    out += 2.0**23
-    parity = out.view(np.int32)
-    parity &= 1
-    parity *= 0x3F800000
+def _jump(states: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into `out` the (lanes, 4) C-contiguous `states` mapped through
+    `table` (`_byte_table`): one lookup per state byte, XORed together."""
+    by = states.view(np.uint8)
+    np.take(table[0], by[:, 0], axis=0, out=out)
+    for p in range(1, 32):
+        out ^= table[p].take(by[:, p], axis=0)
     return out
 
 
-def _jump(level: int) -> np.ndarray:
-    if not _jumps:
-        # row i is basis state i stepped _LANE_STEPS times
-        basis = _bits_to_words(np.eye(_STATE_BITS, dtype=np.uint8))
+def _table(level: int) -> np.ndarray:
+    """The `_byte_table` of T**(_LANE_STEPS * 2**level)."""
+    if not _tables:
+        # bits[p, j] is the state, as 32 bytes, whose byte p is 1 << j
+        bits = np.eye(32, dtype=np.uint8)[:, None] << np.arange(8, dtype=np.uint8)[:, None]
+        basis = np.ascontiguousarray(bits.reshape(256, 32).view(np.uint64).T)
         _step_lanes(basis, _LANE_STEPS)
-        _jumps.append(_words_to_bits(basis.T).astype(np.float32))
-    while len(_jumps) <= level:
-        _jumps.append(_mod2_product(_jumps[-1], _jumps[-1], np.empty_like(_jumps[-1])))
-    return _jumps[level]
+        _tables.append(_byte_table(basis.T.copy()))
+    while len(_tables) <= level:
+        # the images of the basis under a table are its entries [p, 1 << j];
+        # jumping them once more through it squares the jump
+        images = _tables[-1][:, 1 << np.arange(8)].reshape(256, 4)
+        _tables.append(_byte_table(_jump(images, _tables[-1], np.empty_like(images))))
+    return _tables[level]
 
 
 def _lane_level(n: int, count: int) -> int:
@@ -178,15 +184,15 @@ def _fill_lanes(states: np.ndarray, out: np.ndarray, level: int) -> np.ndarray:
     n, count = out.shape
     steps = _LANE_STEPS << level
     m = -(-count // steps)  # lanes per stream; lane j*n + i is lane j of stream i
-    bits = np.empty((m * n, _STATE_BITS), dtype=np.float32)
-    bits[:n] = _words_to_bits(states)
+    starts = np.empty((m * n, 4), dtype=np.uint64)
+    starts[:n] = states
     known, jump = 1, level
     while known < m:
         k = min(known, m - known)
-        _mod2_product(bits[: k * n], _jump(jump), bits[known * n : (known + k) * n])
+        _jump(starts[: k * n], _table(jump), starts[known * n : (known + k) * n])
         known += k
         jump += 1
-    s = _bits_to_words(bits)
+    s = np.ascontiguousarray(starts.T)
     whole = (m - 1) * steps
     last_steps = count - whole
     rows = steps if m > 1 else last_steps

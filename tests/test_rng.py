@@ -151,6 +151,51 @@ def test_edge_counts_reach_every_path(n):
     assert {rng_mod._lane_level(n, c) for c in counts} >= {0, 1, 2, 3}
 
 
+def _stepped(states, steps):
+    """(lanes, 4) states after `steps` lane steps."""
+    s = np.ascontiguousarray(np.asarray(states, dtype=np.uint64).T)
+    rng_mod._step_lanes(s, steps)
+    return s.T
+
+
+def _jumped(states, level):
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    return rng_mod._jump(states, rng_mod._table(level), np.empty_like(states))
+
+
+def _byte_states(values):
+    """The states whose only nonzero byte is byte p = values[v], as a
+    (32 * len(values), 4) array in (p, v) order."""
+    by = np.zeros((32, len(values), 32), dtype=np.uint8)
+    p = np.arange(32)[:, None]
+    by[p, np.arange(len(values)), p] = values
+    return by.reshape(-1, 32).view(np.uint64)
+
+
+SINGLE_BITS = _byte_states(1 << np.arange(8, dtype=np.uint8))
+ALL_ONES = np.full((1, 4), 2**64 - 1, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_jump_of_single_bits_and_all_ones_is_stepping(level):
+    states = np.concatenate([SINGLE_BITS, ALL_ONES])
+    assert np.array_equal(_jumped(states, level), _stepped(states, _LANE << level))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4),
+                                   min_size=1, max_size=16))
+def test_jump_of_any_state_is_stepping(level, words):
+    assert np.array_equal(_jumped(words, level), _stepped(words, _LANE << level))
+
+
+def test_squared_table_is_stepped_table():
+    # level 2 is built by squaring level 1; entry [p, v] must be the state
+    # whose only nonzero byte is byte p = v, stepped 4 * _LANE_STEPS times
+    states = _byte_states(np.arange(256, dtype=np.uint8))
+    assert np.array_equal(rng_mod._table(2).reshape(-1, 4), _stepped(states, _LANE << 2))
+
+
 def test_fill_streams_rows_are_fresh_streams():
     seeds = [0, 1, 2**64 - 1, 12345]
     out = fill_streams(seeds, _LANE * 64 + 5)
