@@ -516,16 +516,13 @@ def sgd_step(
 def init_params(seed: int) -> NetworkParams:
     """He-normal weights (std = sqrt(2/fan_in)), zero biases, fixed draw order.
 
-    Each layer takes the draws of `Xoshiro256StarStar.normals` in table
-    order, all from one fill: an even number of uniforms per layer, run
-    through Box-Muller slice by slice."""
-    counts = [math.prod(shape) for _, _, shape in LAYER_TABLE]
-    u = Xoshiro256StarStar(seed).doubles(sum(2 * -(-count // 2) for count in counts))
-    layers, start = {}, 0
-    for (name, kind, shape), count in zip(LAYER_TABLE, counts):
-        stop = start + 2 * -(-count // 2)
-        weight = box_muller(u[start:stop])[:count].reshape(shape)
-        start = stop
+    One fill holds each layer's whole uniform pairs in table order, run
+    through Box-Muller layer by layer: the draws of `normals` per layer."""
+    pairs = [2 * -(-math.prod(shape) // 2) for _, _, shape in LAYER_TABLE]
+    u = Xoshiro256StarStar(seed).doubles(sum(pairs))
+    layers = {}
+    for (name, kind, shape), chunk in zip(LAYER_TABLE, np.split(u, np.cumsum(pairs)[:-1])):
+        weight = box_muller(chunk)[: math.prod(shape)].reshape(shape)
         fan_in = math.prod(shape[1:])
         layers[name] = kind(weight * math.sqrt(2.0 / fan_in), np.zeros(shape[0]))
     return NetworkParams(**layers)
